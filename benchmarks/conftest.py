@@ -1,9 +1,10 @@
 """Shared configuration for the benchmark harness.
 
-Each benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md §4) and attaches the resulting rows to the pytest-benchmark
-``extra_info`` so the numbers appear in ``--benchmark-verbose`` output and
-in saved benchmark JSON.  Benchmarks run a single round by default: the
+Each benchmark regenerates one of the paper's tables or figures (the
+map from table/figure to harness is in :mod:`repro.experiments`) and
+attaches the resulting rows to the pytest-benchmark ``extra_info`` so the
+numbers appear in ``--benchmark-verbose`` output and in saved benchmark
+JSON.  Benchmarks run a single round by default: the
 quantity of interest is the experiment output (the reproduced table), not
 micro-second timing stability.
 """

@@ -2,8 +2,8 @@
 
 These benches cover the pieces of the paper that are not a single
 table/figure: the closed-form validation (Theorems 1-6), the Algorithm-1
-optimizer versus brute force, and the estimator ablation called out in
-DESIGN.md §5.
+optimizer versus brute force, and an estimator ablation (the Chronos
+estimator against Hadoop's default one on the same jobs).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def test_bench_optimizer_algorithm1(benchmark):
 
 
 def test_bench_estimator_ablation(benchmark):
-    """DESIGN.md ablation: Chronos estimator vs default Hadoop estimator."""
+    """Estimator ablation: Chronos estimator vs default Hadoop estimator."""
 
     jobs = [
         JobSpec(

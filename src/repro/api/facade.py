@@ -11,7 +11,8 @@ A :class:`ScenarioResult` pairs the simulation report with the spec that
 produced it, the spec's fingerprint (the cache key) and the wall time the
 run took.  Results serialize to JSON (:meth:`ScenarioResult.to_dict` /
 ``from_dict``) so sweeps can persist an on-disk cache and ship results
-across process boundaries.
+through the distributed queue; the process pool pickles the live
+objects instead.
 """
 
 from __future__ import annotations

@@ -63,11 +63,16 @@ class UnknownPluginError(KeyError):
     """A name was looked up that no plugin is registered under."""
 
     def __init__(self, kind: str, name: str, available: Iterable[str]):
-        names = ", ".join(sorted(available)) or "<none registered>"
         self.kind = kind
         self.name = name
+        self.available = tuple(sorted(available))
+        names = ", ".join(self.available) or "<none registered>"
         self.message = f"unknown {kind} {name!r}; available: {names}"
         super().__init__(self.message)
+
+    def __reduce__(self):
+        """Pickle by constructor arguments, so the error crosses processes."""
+        return (type(self), (self.kind, self.name, self.available))
 
     def __str__(self) -> str:
         """The plain message (KeyError would repr() it, adding stray quotes)."""

@@ -38,7 +38,12 @@ class SpecValidationError(ValueError):
 
     def __init__(self, field_name: str, message: str):
         self.field = field_name
+        self.reason = message
         super().__init__(f"{field_name}: {message}")
+
+    def __reduce__(self):
+        """Pickle by constructor arguments, so the error crosses processes."""
+        return (type(self), (self.field, self.reason))
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,20 @@
 list of dotted-path override mappings (or a full cartesian grid via
 :meth:`Sweep.grid`) and runs the resulting scenarios through a pluggable
 executor backend — ``"inline"`` (this process), ``"pool"`` (a
-``concurrent.futures`` process pool; specs are plain serializable data,
-so they pickle cheaply) or ``"distributed"`` (a durable sqlite queue
-shared by worker processes, see :mod:`repro.distributed`) — optionally
-against a fingerprint-keyed :class:`ResultCache` so repeated sweeps only
-pay for scenarios they have not seen before.
+``concurrent.futures`` process pool) or ``"distributed"`` (a durable
+sqlite queue shared by worker processes, see :mod:`repro.distributed`)
+— optionally against a fingerprint-keyed :class:`ResultCache` so
+repeated sweeps only pay for scenarios they have not seen before.
+
+The pool executor submits chunks of the live, already-validated spec
+objects — about eight chunks per worker, so a large grid of small
+scenarios pays one submit and one pickle per chunk rather than per
+scenario — and gets the live results back: specs and results pickle
+exactly, so no JSON codec runs on the way, as with inline execution.
+Completion events therefore arrive per chunk, and a cancel harvests
+only the chunks already dispatched to the workers.  Only the on-disk
+:class:`ResultCache` and the distributed queue, whose payloads cross
+hosts, go through the JSON codec.
 
 Execution is *event driven*: every backend reports progress through one
 stream of :class:`~repro.api.events.SweepEvent` objects.
@@ -48,6 +57,7 @@ import io
 import itertools
 import json
 import os
+import pickle
 import threading
 import time
 import uuid
@@ -76,7 +86,7 @@ from repro.api.events import (
     SweepFinished,
     SweepStarted,
 )
-from repro.api.facade import ScenarioResult, execute, result_from_dict, spec_from_dict
+from repro.api.facade import ScenarioResult, execute, result_from_dict
 from repro.api.registry import Registry, UnknownPluginError
 from repro.api.spec import ScenarioSpec, SpecValidationError
 from repro.simulator.metrics import SimulationReport
@@ -161,14 +171,41 @@ class ResultCache:
         return isinstance(fingerprint, str) and self.get(fingerprint) is not None
 
 
-def _execute_spec_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool worker: rebuild the spec, run it, return a plain dict.
+#: Chunks the pool executor cuts a batch into, per worker process: enough
+#: that the last chunks balance the load, few enough that one submit and
+#: one result pickle are shared by many small scenarios.
+_CHUNKS_PER_WORKER = 8
 
-    Trading dicts (rather than live objects) across the pool exercises the
-    same serialization path as the on-disk cache and keeps the contract
-    picklable regardless of what plugins produce.
+
+def _portable(error: Exception) -> Exception:
+    """``error`` if it survives pickling, else a ``RuntimeError`` naming it."""
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        return RuntimeError(f"{type(error).__name__}: {error}")
+    return error
+
+
+def _execute_spec_chunk(specs: Sequence[Any]) -> List[Any]:
+    """Process-pool worker: run a chunk of specs, one outcome per spec.
+
+    Specs and results cross the process boundary as the live objects —
+    they pickle exactly, so no codec runs on either side.  Each outcome
+    is the spec's :class:`ScenarioResult` (or ``ClusterResult``), the
+    exception the scenario raised, or ``None`` when a registry lookup
+    finds no plugin of the name the spec gives: the parent validated
+    that name, so the plugin was registered only there (invisible to
+    spawn/forkserver children), and the parent runs the scenario inline.
     """
-    return execute(spec_from_dict(payload)).to_dict()
+    outcomes: List[Any] = []
+    for spec in specs:
+        try:
+            outcomes.append(execute(spec))
+        except UnknownPluginError:
+            outcomes.append(None)
+        except Exception as error:
+            outcomes.append(_portable(error))
+    return outcomes
 
 
 def _is_sweepable_spec(spec: Any) -> bool:
@@ -819,12 +856,26 @@ def _stream_pool(
     on_failure: str,
     clock: Callable[[], float],
 ) -> Iterator[SweepEvent]:
-    """Fan scenarios over a process pool, yielding in completion order."""
+    """Fan scenarios over a process pool in chunks, yielding as chunks finish.
+
+    The batch is cut into consecutive chunks of
+    ``ceil(n / (workers * _CHUNKS_PER_WORKER))`` live specs, one future
+    per chunk; a batch of at most ``workers * _CHUNKS_PER_WORKER``
+    scenarios therefore still gets one future per scenario.  When a chunk
+    finishes, its scenarios' events are yielded in chunk order, so
+    completion events arrive per chunk.  Cancelling withdraws the queued
+    chunks and harvests the dispatched ones: one running per worker plus
+    up to ``workers + 1`` in the executor's call queue, which
+    ``Future.cancel`` cannot withdraw.  Scenarios a worker could not
+    resolve, and those left over when the pool breaks, run inline
+    afterwards.
+    """
+    workers = min(pool_workers, len(todo))
+    size = -(-len(todo) // (workers * _CHUNKS_PER_WORKER))
+    chunks = [todo[start : start + size] for start in range(0, len(todo), size)]
     settled: set = set()  # fingerprints completed or failed via the pool
     try:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(pool_workers, len(todo))
-        ) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 # No ScenarioStarted here: a process pool does not expose
                 # when a queued task actually begins, and stamping all N
@@ -832,8 +883,8 @@ def _stream_pool(
                 # ScenarioResult.wall_time_s (measured in the child)
                 # carries the true execution time of each completion.
                 futures = {
-                    pool.submit(_execute_spec_payload, spec.to_dict()): (fingerprint, index)
-                    for fingerprint, spec, index in todo
+                    pool.submit(_execute_spec_chunk, [spec for _, spec, _ in chunk]): chunk
+                    for chunk in chunks
                 }
                 outstanding = set(futures)
                 draining = False
@@ -857,35 +908,35 @@ def _stream_pool(
                     for future in finished:
                         if future.cancelled():
                             continue
-                        fingerprint, index = futures[future]
+                        chunk = futures[future]
                         try:
-                            outcome = result_from_dict(future.result())
-                        except (SpecValidationError, UnknownPluginError):
-                            # Plugins registered only in this process are
-                            # invisible to spawn/forkserver workers (children
-                            # re-import only the builtins); leave the scenario
-                            # for the inline pass below, which can see them.
-                            continue
+                            outcomes = future.result()
                         except concurrent.futures.process.BrokenProcessPool:
                             raise
                         except Exception as error:
+                            # The chunk itself failed to cross the process
+                            # boundary: every scenario in it failed.
+                            outcomes = [error] * len(chunk)
+                        for (fingerprint, _, index), outcome in zip(chunk, outcomes):
+                            if outcome is None:
+                                continue  # a parent-only plugin: run inline below
                             settled.add(fingerprint)
-                            yield ScenarioFailed(
+                            if isinstance(outcome, Exception):
+                                yield ScenarioFailed(
+                                    fingerprint=fingerprint,
+                                    index=index,
+                                    error=f"{type(outcome).__name__}: {outcome}",
+                                    elapsed_s=clock(),
+                                )
+                                if on_failure == "raise":
+                                    raise outcome
+                                continue
+                            yield ScenarioCompleted(
                                 fingerprint=fingerprint,
                                 index=index,
-                                error=f"{type(error).__name__}: {error}",
+                                result=outcome,
                                 elapsed_s=clock(),
                             )
-                            if on_failure == "raise":
-                                raise
-                            continue
-                        settled.add(fingerprint)
-                        yield ScenarioCompleted(
-                            fingerprint=fingerprint,
-                            index=index,
-                            result=outcome,
-                            elapsed_s=clock(),
-                        )
             except (GeneratorExit, KeyboardInterrupt):
                 # The consumer bailed (Ctrl-C, early break): do not sit in
                 # the pool's __exit__ waiting for scenarios nobody wants.

@@ -177,6 +177,24 @@ def summary_from_payload(
         return None
 
 
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch the database to WAL, waiting out a concurrent first opener.
+
+    While another process converts a fresh database to WAL, the pragma
+    fails with ``database is locked`` at once — sqlite does not run the
+    busy handler for it — so retry it for up to the busy timeout.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT_MS / 1000.0
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode = WAL")
+            return
+        except sqlite3.OperationalError as error:
+            if "locked" not in str(error) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.01)
+
+
 def connect(path: Union[str, Path]) -> sqlite3.Connection:
     """Open (creating if needed) a queue database in WAL mode.
 
@@ -201,7 +219,7 @@ def connect(path: Union[str, Path]) -> sqlite3.Connection:
     )
     conn.row_factory = sqlite3.Row
     conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
-    conn.execute("PRAGMA journal_mode = WAL")
+    _enable_wal(conn)
     conn.execute("PRAGMA synchronous = NORMAL")
     conn.executescript(SCHEMA)
     conn.commit()

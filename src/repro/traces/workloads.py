@@ -17,7 +17,7 @@ Pareto parameters reflect the paper's observations:
 The absolute parameter values are calibrated so that mean task times and
 deadline tightness are in the same regime as the paper's experiments; the
 reproduced quantities of interest are orderings and ratios, not absolute
-seconds (see DESIGN.md §2).
+seconds.
 """
 
 from __future__ import annotations

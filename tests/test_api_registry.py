@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.api import (
@@ -65,6 +67,16 @@ class TestRegistry:
             registry.get("gamma")
         message = str(excinfo.value)
         assert "gamma" in message and "alpha" in message and "beta" in message
+
+    def test_unknown_plugin_error_pickles(self, registry):
+        registry.register("beta", 2)
+        registry.register("alpha", 1)
+        with pytest.raises(UnknownPluginError) as excinfo:
+            registry.get("gamma")
+        copy = pickle.loads(pickle.dumps(excinfo.value))
+        assert type(copy) is UnknownPluginError
+        assert (copy.kind, copy.name, copy.available) == ("widget", "gamma", ("alpha", "beta"))
+        assert str(copy) == str(excinfo.value)
 
     def test_bad_name_rejected(self, registry):
         with pytest.raises(TypeError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import subprocess
 import sys
 
@@ -128,6 +129,13 @@ class TestValidation:
         assert excinfo.value.field == "strategy"
         assert "warp-drive" in str(excinfo.value)
         assert "s-resume" in str(excinfo.value)  # lists what is available
+
+    def test_validation_error_pickles_with_its_field(self):
+        error = SpecValidationError("workload.params", "num_jobs must be positive")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is SpecValidationError
+        assert copy.field == "workload.params"
+        assert str(copy) == str(error) == "workload.params: num_jobs must be positive"
 
     def test_unknown_workload_kind_names_field(self):
         with pytest.raises(SpecValidationError) as excinfo:

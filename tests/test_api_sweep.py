@@ -2,25 +2,70 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pickle
+from pathlib import Path
 
 import pytest
 
+import repro.api.sweep as sweep_module
 from repro.api import (
+    CancelToken,
     ResultCache,
+    ScenarioCompleted,
+    ScenarioFailed,
+    ScenarioQueued,
     ScenarioSpec,
     SpecValidationError,
     Sweep,
     WorkloadSpec,
+    execute,
     job_spec_to_dict,
+    register_workload,
     run_specs,
+    spec_from_dict,
 )
+from repro.api.registry import WORKLOADS
 from repro.simulator.entities import JobSpec
 
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_parity.json"
 
-def _raise_like_spawn_worker(payload):
-    """Stand-in pool worker: what a spawn child raises for a parent-only plugin."""
-    raise SpecValidationError("strategy", "unknown strategy (not registered in this process)")
+
+def _report_every_spec_unresolved(specs):
+    """Stand-in pool worker: a spawn child that cannot see a parent-only plugin."""
+    return [None] * len(specs)
+
+
+def _return_unpicklable(specs):
+    """Stand-in pool worker whose outcomes cannot be sent back to the parent."""
+    return [lambda: None for _ in specs]
+
+
+class _TwoArgumentError(Exception):
+    """An exception that does not survive pickling (it needs two arguments)."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first}/{second}")
+
+
+def _raising_builder(seed):
+    raise _TwoArgumentError("a", "b")
+
+
+def _payload_hash(result) -> str:
+    """SHA-256 of a result's payload, without the wall time."""
+    payload = result.to_dict()
+    payload.pop("wall_time_s")
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _grid_of(base, seeds: int) -> Sweep:
+    """4 strategies x ``seeds`` seeds: enough scenarios for chunks > 1 on 2 workers."""
+    return Sweep.grid(
+        base,
+        {"strategy": ["hadoop-ns", "clone", "s-restart", "s-resume"], "seed": list(range(seeds))},
+    )
 
 
 def _tiny_jobs(count: int = 3):
@@ -120,17 +165,116 @@ class TestProcessPoolExecution:
         """A spec whose plugins only exist in the parent still completes.
 
         Simulates the spawn/forkserver situation where worker processes
-        cannot resolve a parent-registered plugin: every pool task raises
-        SpecValidationError, and run_specs must recover by executing the
+        cannot resolve a parent-registered plugin: every chunk reports its
+        specs as unresolved, and run_specs must recover by executing the
         scenarios inline in the parent process.
         """
-        import repro.api.sweep as sweep_module
-
-        monkeypatch.setattr(sweep_module, "_execute_spec_payload", _raise_like_spawn_worker)
+        monkeypatch.setattr(sweep_module, "_execute_spec_chunk", _report_every_spec_unresolved)
         specs = [base.with_overrides(seed=s) for s in (0, 1)]
         outcome = run_specs(specs, jobs=2)
         assert outcome.executed == 2
         assert all(result.report.num_jobs == 3 for result in outcome.results)
+
+
+class TestChunkedPool:
+    """Batches larger than ``workers * 8`` share one future per chunk."""
+
+    def test_chunk_worker_outcomes(self, base):
+        bad = base.with_overrides(
+            {"workload": {"kind": "benchmark", "params": {"name": "sort", "num_jobs": 0}}}
+        )
+        register_workload("test-parent-only", lambda seed: [])
+        register_workload("test-raising", _raising_builder)
+        try:
+            unresolved = base.with_overrides({"workload": {"kind": "test-parent-only"}})
+            raising = base.with_overrides({"workload": {"kind": "test-raising"}})
+        finally:
+            WORKLOADS.unregister("test-parent-only")  # as a spawn child sees it
+        try:
+            good, failed, fallback, opaque = sweep_module._execute_spec_chunk(
+                [base, bad, unresolved, raising]
+            )
+        finally:
+            WORKLOADS.unregister("test-raising")
+        assert _payload_hash(good) == _payload_hash(execute(base))
+        assert isinstance(failed, SpecValidationError) and failed.field == "workload.params"
+        assert fallback is None
+        # An exception that cannot cross processes is sent as its text.
+        assert type(opaque) is RuntimeError and str(opaque) == "_TwoArgumentError: a/b"
+
+    def test_chunk_that_cannot_return_fails_its_scenarios(self, base, monkeypatch):
+        monkeypatch.setattr(sweep_module, "_execute_spec_chunk", _return_unpicklable)
+        specs = list(_grid_of(base, 10).specs)
+        outcome = run_specs(specs, jobs=2, on_failure="continue")
+        assert outcome.failures == len(specs)
+        assert outcome.executed == 0 and len(outcome.pending) == len(specs)
+
+    def test_chunked_pool_matches_inline(self, base):
+        sweep = _grid_of(base, 12)
+        assert len(sweep) == 48  # chunks of 3 on 2 workers
+        inline = sweep.run(jobs=1)
+        events = list(sweep.stream(jobs=2))
+        queued = [event.index for event in events if isinstance(event, ScenarioQueued)]
+        assert queued == list(range(len(sweep)))
+        completed = {
+            event.index: event.result for event in events if isinstance(event, ScenarioCompleted)
+        }
+        assert sorted(completed) == list(range(len(sweep)))
+        assert [_payload_hash(completed[i]) for i in range(len(sweep))] == [
+            _payload_hash(result) for result in inline.results
+        ]
+
+    def test_chunked_pool_cancel_returns_matching_partial(self, base):
+        sweep = _grid_of(base, 40)
+        token = CancelToken()
+
+        def cancel_on_first_completion(event):
+            if isinstance(event, ScenarioCompleted):
+                token.cancel()
+
+        partial = sweep.run(jobs=2, cancel=token, on_event=cancel_on_first_completion)
+        assert partial.cancelled and partial.pending
+        assert 1 <= len(partial.results) < len(sweep)
+        done = {result.fingerprint for result in partial.results}
+        assert [spec.fingerprint() for spec in partial.pending] == [
+            spec.fingerprint() for spec in sweep.specs if spec.fingerprint() not in done
+        ]
+        for result in partial.results:
+            assert _payload_hash(result) == _payload_hash(execute(result.spec))
+
+    def test_one_bad_spec_fails_alone(self, base, monkeypatch):
+        """A worker-side spec error is one ScenarioFailed, not a broken pool."""
+        bad = base.with_overrides(
+            {"workload": {"kind": "benchmark", "params": {"name": "sort", "num_jobs": 0}}}
+        )
+        specs = list(_grid_of(base, 16).specs)
+        specs[37] = bad
+        inline_scenarios = []
+        stream_inline = sweep_module._stream_inline
+
+        def counting_stream_inline(todo, *args):
+            inline_scenarios.extend(todo)
+            return stream_inline(todo, *args)
+
+        monkeypatch.setattr(sweep_module, "_stream_inline", counting_stream_inline)
+        events = list(sweep_module.stream_specs(specs, jobs=2, on_failure="continue"))
+        failed = [event for event in events if isinstance(event, ScenarioFailed)]
+        assert [event.index for event in failed] == [37]
+        assert failed[0].error.startswith("SpecValidationError: workload.params")
+        assert sum(isinstance(event, ScenarioCompleted) for event in events) == len(specs) - 1
+        assert inline_scenarios == []
+
+        with pytest.raises(SpecValidationError) as raised:
+            run_specs(specs, jobs=2)
+        assert raised.value.field == "workload.params"
+        assert inline_scenarios == []
+
+    def test_golden_specs_and_results_pickle_exactly(self):
+        for entry in json.loads(GOLDEN_PATH.read_text()).values():
+            spec = spec_from_dict(entry["spec"])
+            result = execute(spec)
+            assert pickle.loads(pickle.dumps(spec)) == spec
+            assert pickle.loads(pickle.dumps(result)) == result
 
 
 class TestCaching:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sqlite3
 import time
 
 import pytest
@@ -251,6 +252,32 @@ class TestLeaseKeeper:
 
 
 class TestSqliteResultStore:
+    def test_wal_switch_waits_out_a_concurrent_first_opener(self):
+        """``database is locked`` from the WAL pragma is retried, not raised."""
+        from repro.distributed.store import _enable_wal
+
+        class LockedTwice:
+            calls = 0
+
+            def execute(self, sql):
+                self.calls += 1
+                if self.calls <= 2:
+                    raise sqlite3.OperationalError("database is locked")
+
+        conn = LockedTwice()
+        _enable_wal(conn)
+        assert conn.calls == 3
+
+    def test_wal_switch_raises_other_errors(self):
+        from repro.distributed.store import _enable_wal
+
+        class Broken:
+            def execute(self, sql):
+                raise sqlite3.OperationalError("disk I/O error")
+
+        with pytest.raises(sqlite3.OperationalError, match="disk I/O"):
+            _enable_wal(Broken())
+
     def test_put_get_round_trip(self, db):
         spec = _tiny_spec()
         result = run(spec)

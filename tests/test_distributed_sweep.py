@@ -9,11 +9,12 @@ entirely from the sqlite result store with zero scenario executions.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
-import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,30 @@ def _job_dicts(count: int = 3):
         )
         for i in range(count)
     ]
+
+
+def _kill_first_leaseholder(db: str, test_pid: int, ready, found: str) -> None:
+    """Watch the queue; SIGKILL the first worker seen holding a lease.
+
+    Writes the killed task's fingerprint and worker id to ``found``.
+    """
+    with Broker(db) as watcher:
+        ready.set()
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            leased = watcher.tasks("leased")
+            pids = {w["worker_id"]: w["pid"] for w in watcher.workers()}
+            for record in leased:
+                pid = pids.get(record.lease_owner)
+                if pid and pid != test_pid:
+                    Path(found).write_text(
+                        json.dumps(
+                            {"fingerprint": record.fingerprint, "worker_id": record.lease_owner}
+                        )
+                    )
+                    os.kill(pid, signal.SIGKILL)
+                    return
+            time.sleep(0.005)
 
 
 @pytest.fixture
@@ -143,33 +168,29 @@ class TestWorkerCrashRecovery:
         )
         sweep = twelve_scenario_sweep(base)
         db = tmp_path / "queue.sqlite"
-        killed = {}
-
-        def kill_first_leaseholder():
-            """Watch the queue; SIGKILL the first worker seen holding a lease."""
-            with Broker(db) as watcher:
-                deadline = time.monotonic() + 30.0
-                while time.monotonic() < deadline:
-                    leased = watcher.tasks("leased")
-                    pids = {w["worker_id"]: w["pid"] for w in watcher.workers()}
-                    for record in leased:
-                        pid = pids.get(record.lease_owner)
-                        if pid and pid != os.getpid():
-                            killed["fingerprint"] = record.fingerprint
-                            killed["worker_id"] = record.lease_owner
-                            os.kill(pid, signal.SIGKILL)
-                            return
-                    time.sleep(0.005)
-
-        assassin = threading.Thread(target=kill_first_leaseholder)
+        found = tmp_path / "killed.json"
+        # The watcher is a spawned process, not a thread of this one: the
+        # sweep forks its workers from here, and a child forked while
+        # another thread is inside sqlite can inherit a held sqlite lock
+        # and hang on its first query.
+        spawn = multiprocessing.get_context("spawn")
+        ready = spawn.Event()
+        assassin = spawn.Process(
+            target=_kill_first_leaseholder, args=(str(db), os.getpid(), ready, str(found))
+        )
         assassin.start()
         try:
+            assert ready.wait(60.0), "the watcher never opened the queue"
             distributed = sweep.run(
                 executor="distributed", workers=3, db=db, lease_timeout=2.0
             )
         finally:
-            assassin.join()
+            assassin.join(60.0)
+            if assassin.is_alive():
+                assassin.kill()
+                assassin.join()
 
+        killed = json.loads(found.read_text()) if found.exists() else {}
         assert killed, "no worker was observed holding a lease"
         assert distributed.executed == 12
         assert len(distributed.results) == 12

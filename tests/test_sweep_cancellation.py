@@ -28,6 +28,7 @@ from repro.api import (
     ScenarioSpec,
     Sweep,
     WorkloadSpec,
+    clear_template_cache,
     job_spec_to_dict,
     run_specs,
 )
@@ -121,6 +122,10 @@ class TestCancelToken:
             result.fingerprint: _stripped(result)
             for result in require_complete(sweep.run(executor="inline"))
         }
+        # Forked pool children inherit this process's template cache, whose
+        # memoized job lists would skip the slow builder altogether: clear
+        # it so every pool scenario really takes delay_s.
+        clear_template_cache()
         token = CancelToken()
         partial = sweep.run(
             executor="pool", workers=2, cancel=token, on_event=_cancel_after(token, 1)

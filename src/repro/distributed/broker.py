@@ -3,9 +3,10 @@
 The broker owns the ``tasks`` table of a queue database (see
 :mod:`repro.distributed.store`).  Producers :meth:`enqueue` scenario
 specs (deduplicated by fingerprint — the queue is content-addressed just
-like the result store); workers :meth:`claim` one task at a time under a
-:class:`~repro.distributed.leases.LeasePolicy`, renew via
-:meth:`heartbeat`, and finish with :meth:`complete` or :meth:`fail`.
+like the result store); workers :meth:`claim_many` a batch of tasks under
+a :class:`~repro.distributed.leases.LeasePolicy`, renew via
+:meth:`heartbeat`, and finish with :meth:`complete_many` (one
+transaction for a batch of results) or, per task, :meth:`fail`.
 
 Crash safety comes from leases rather than connections: a worker that
 dies mid-task simply stops heartbeating, and the next
@@ -85,6 +86,15 @@ EVENT_KINDS = ("queued", "started", "completed", "failed", "retried", "released"
 #: Out-of-band event kinds an adaptive search mirrors into the log via
 #: :meth:`Broker.record_event` (see :mod:`repro.adaptive.search`).
 TRIAL_EVENT_KINDS = ("trial-proposed", "trial-pruned", "search-finished")
+
+#: The claim query: the oldest pending tasks, FIFO by enqueue time with
+#: the fingerprint as tie-break.  ``idx_tasks_claim`` (see
+#: :mod:`repro.distributed.store`) serves this order directly, so a claim
+#: reads ``limit`` index entries instead of sorting every pending row.
+CLAIM_SQL = (
+    "SELECT fingerprint, payload, attempts FROM tasks "
+    "WHERE status = 'pending' ORDER BY enqueued_at, fingerprint LIMIT ?"
+)
 
 
 class TaskFailedError(RuntimeError):
@@ -249,8 +259,8 @@ class Broker:
     def claim_many(self, worker_id: str, limit: int) -> List[Task]:
         """Claim up to ``limit`` pending tasks in one transaction (FIFO).
 
-        Batch claims amortize the per-transaction queue overhead (~ms per
-        task) when scenarios are short; every claimed task gets its own
+        Batch claims amortize the per-transaction queue overhead when
+        scenarios are short; every claimed task gets its own
         lease, so the crash-recovery story is unchanged — a dead worker's
         whole batch expires and is requeued.  Returns fewer than ``limit``
         tasks (possibly none) when the queue runs dry.
@@ -262,11 +272,7 @@ class Broker:
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
             self._sweep_expired_locked(now)
-            rows = self._conn.execute(
-                "SELECT fingerprint, payload, attempts FROM tasks "
-                "WHERE status = 'pending' ORDER BY enqueued_at, fingerprint LIMIT ?",
-                (limit,),
-            ).fetchall()
+            rows = self._conn.execute(CLAIM_SQL, (limit,)).fetchall()
             expires_at = now + self._policy.timeout
             for row in rows:
                 self._conn.execute(
@@ -306,33 +312,49 @@ class Broker:
         return bool(cursor.rowcount)
 
     def complete(self, fingerprint: str, worker_id: str, result_payload: Dict[str, Any]) -> None:
-        """Record a finished task: store its result and mark it done.
+        """Record one finished task (a one-item :meth:`complete_many`)."""
+        self.complete_many(worker_id, [(fingerprint, result_payload)])
+
+    def complete_many(
+        self, worker_id: str, items: Sequence[Tuple[str, Dict[str, Any]]]
+    ) -> None:
+        """Record finished tasks: store each result and mark each task done.
+
+        ``items`` are ``(fingerprint, result_payload)`` pairs.  Every
+        result row, ``done`` transition and ``completed`` event, plus one
+        ``tasks_done += n`` for the worker, commit in a single
+        transaction: all of them or none.  Payloads are serialized before
+        the write lock is taken, so the lock is held only for the inserts.
 
         Results are content-addressed and scenario execution is
         deterministic, so a completion is accepted even from a worker
         whose lease was lost (the work is identical); the result upsert
         keeps this idempotent.
         """
+        rows = {fingerprint: json.dumps(payload) for fingerprint, payload in items}
+        if not rows:
+            return
         now = time.time()
         with self._conn:
             self._conn.execute("BEGIN IMMEDIATE")
-            self._conn.execute(
+            self._conn.executemany(
                 "INSERT OR REPLACE INTO results (fingerprint, payload, worker_id, created_at) "
                 "VALUES (?, ?, ?, ?)",
-                (fingerprint, json.dumps(result_payload), worker_id, now),
+                [(fingerprint, payload, worker_id, now) for fingerprint, payload in rows.items()],
             )
-            self._conn.execute(
+            self._conn.executemany(
                 "UPDATE tasks SET status = 'done', lease_owner = NULL, lease_expires_at = NULL, "
                 "error = NULL, updated_at = ? WHERE fingerprint = ?",
-                (now, fingerprint),
+                [(now, fingerprint) for fingerprint in rows],
             )
             self._conn.execute(
-                "UPDATE workers SET tasks_done = tasks_done + 1, last_seen_at = ? "
+                "UPDATE workers SET tasks_done = tasks_done + ?, last_seen_at = ? "
                 "WHERE worker_id = ?",
-                (now, worker_id),
+                (len(rows), now, worker_id),
             )
-            self._log_event("completed", fingerprint, worker_id=worker_id, now=now)
-        _COMPLETED.inc()
+            for fingerprint in rows:
+                self._log_event("completed", fingerprint, worker_id=worker_id, now=now)
+        _COMPLETED.inc(len(rows))
 
     def fail(self, fingerprint: str, worker_id: str, error: str) -> bool:
         """Mark a task permanently failed (the scenario itself errored).

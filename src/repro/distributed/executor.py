@@ -8,8 +8,9 @@ a :class:`~repro.distributed.worker.WorkerPool` (unless the caller
 relies on remote fleets already attached to the service) and supervises
 the run: sweeping expired leases, fast-releasing the leases of workers
 the parent reaps, and falling back to executing the remainder inline if
-the pool dies or a fleetless remote queue stalls, so a sweep never
-deadlocks.
+the pool dies or the queue stalls (nothing leased and nothing completed
+for a lease timeout: no fleet attached to a remote queue, or local
+workers alive but stuck), so a sweep never deadlocks.
 
 Progress is *observed*, not polled per result: every queue transition
 (claim, completion, failure, lease requeue) is appended to the broker's
@@ -17,7 +18,8 @@ monotonic event log, and the driver tails that log — locally via
 :meth:`~repro.distributed.broker.Broker.events_since`, remotely via the
 service's ``events_since`` RPC — translating queue events into the
 :mod:`repro.api.events` vocabulary as they land.  Completed results come
-back from the shared result store, which also makes an identical re-run
+back from the shared result store, one ``get_many`` read per batch of
+log rows, which also makes an identical re-run
 a pure store read with zero executions.
 
 Cancellation (a tripped :class:`~repro.api.sweep.CancelToken`, or the
@@ -111,11 +113,12 @@ def execute_stream(
     ``broker`` URL, ``workers=None`` spawns *no* local pool — the fleets
     already attached to the service do the work, which is the multi-host
     topology; a positive ``workers`` spawns a local fleet speaking HTTP,
-    which composes with remote fleets.  If a fleetless remote queue makes
-    no progress for a full lease timeout, the parent drains it inline so
-    a sweep against an idle service still completes — announced by
-    ``ScenarioRetried`` events and a :class:`RuntimeWarning` rather than
-    happening silently.
+    which composes with remote fleets.  If the queue makes no progress
+    for a full lease timeout — a fleetless remote queue, or a local pool
+    whose workers are alive but stuck — the parent terminates the local
+    pool and drains the queue inline, so the sweep still completes —
+    announced by ``ScenarioRetried`` events and a :class:`RuntimeWarning`
+    rather than happening silently.
 
     Tasks whose workers crash are requeued by lease expiry (or
     immediately, when the parent reaps the dead process) with bounded
@@ -198,9 +201,12 @@ def _stream(
         # scenario: over HTTP that is one round trip, and on sqlite it
         # keeps re-run short-circuiting O(stored) rather than O(todo).
         known = store.fingerprints()
+        stored_results = store.get_many(
+            [fingerprint for fingerprint, _, _ in todo if fingerprint in known]
+        )
         pending: List[Tuple[str, ScenarioSpec, int]] = []
         for fingerprint, spec, index in todo:
-            stored = store.get(fingerprint) if fingerprint in known else None
+            stored = stored_results.get(fingerprint)
             if stored is not None:
                 yield ScenarioCacheHit(
                     fingerprint=fingerprint, index=index, result=stored, elapsed_s=clock()
@@ -262,6 +268,11 @@ def _stream(
                     yield from collect_from_store()
                     return
                 tail_failures = 0
+                # One store read for every result this batch announces.
+                announced = {
+                    row.get("fingerprint") for row in batch if row.get("kind") == "completed"
+                }
+                results = store.get_many((announced & position_of.keys()) - collected)
                 for row in batch:
                     since = max(since, int(row["seq"]))
                     fingerprint = row.get("fingerprint")
@@ -298,7 +309,7 @@ def _stream(
                             elapsed_s=clock(),
                         )
                     elif kind == "completed" and fingerprint not in collected:
-                        result = store.get(fingerprint)
+                        result = results.get(fingerprint)
                         if result is not None:
                             collected.add(fingerprint)
                             yield ScenarioCompleted(
@@ -314,16 +325,14 @@ def _stream(
         def collect_from_store() -> Iterator[SweepEvent]:
             """Event-log-free fallback: diff the result store's contents."""
             fresh = (store.fingerprints() & position_of.keys()) - collected
-            for fingerprint in fresh:
-                result = store.get(fingerprint)
-                if result is not None:
-                    collected.add(fingerprint)
-                    yield ScenarioCompleted(
-                        fingerprint=fingerprint,
-                        index=position_of[fingerprint],
-                        result=result,
-                        elapsed_s=clock(),
-                    )
+            for fingerprint, result in store.get_many(fresh).items():
+                collected.add(fingerprint)
+                yield ScenarioCompleted(
+                    fingerprint=fingerprint,
+                    index=position_of[fingerprint],
+                    result=result,
+                    elapsed_s=clock(),
+                )
 
         def remaining() -> List[str]:
             return [fingerprint for fingerprint in position_of if fingerprint not in collected]
@@ -358,35 +367,35 @@ def _stream(
                 if pool is not None:
                     pool.supervise(broker_client)
                 yield from tail_log()
-                if pool is not None:
-                    if pool.alive_count() == 0 and not broker_client.settled():
-                        # Pool wiped out (or workers exited early): finish the
-                        # remaining queue inline so the sweep still completes.
-                        yield from _announce_inline_drain(
-                            "local worker pool died", remaining(), position_of, clock
-                        )
-                        yield from _drain_inline(broker_client, cancel, tail_log)
-                        drained_inline = True
-                        break
-                else:
-                    # Fleetless remote queue: remote workers own the work, but
-                    # if nothing is leased and nothing completes for a full
-                    # lease timeout, assume no fleet is attached and drain
-                    # inline rather than hanging forever.
-                    counts = broker_client.counts()
-                    if counts["leased"] > 0 or counts["done"] != last_done:
-                        last_done = counts["done"]
-                        last_progress = time.monotonic()
-                    elif time.monotonic() - last_progress > policy.timeout:
-                        yield from _announce_inline_drain(
-                            f"no worker fleet attached to {target}",
-                            remaining(),
-                            position_of,
-                            clock,
-                        )
-                        yield from _drain_inline(broker_client, cancel, tail_log)
-                        drained_inline = True
-                        break
+                # Stall guard: if nothing is leased and nothing completes for
+                # a full lease timeout, no worker is making progress — no
+                # fleet attached to a remote queue, or local workers alive
+                # but stuck (e.g. forked while the parent held an sqlite
+                # lock).  A local pool that died outright needs no wait.
+                # Either way the remainder is drained inline rather than
+                # hanging the sweep forever.
+                counts = broker_client.counts()
+                if counts["leased"] > 0 or counts["done"] != last_done:
+                    last_done = counts["done"]
+                    last_progress = time.monotonic()
+                unsettled = counts["pending"] > 0 or counts["leased"] > 0
+                stall = None
+                if unsettled and pool is not None and pool.alive_count() == 0:
+                    stall = "local worker pool died"
+                elif unsettled and time.monotonic() - last_progress > policy.timeout:
+                    stall = (
+                        "local workers made no progress"
+                        if pool is not None
+                        else f"no worker fleet attached to {target}"
+                    )
+                if stall is not None:
+                    yield from _announce_inline_drain(stall, remaining(), position_of, clock)
+                    if pool is not None:
+                        pool.terminate()
+                        pool.reap(broker_client)
+                    yield from _drain_inline(broker_client, cancel, tail_log)
+                    drained_inline = True
+                    break
                 time.sleep(supervise_interval)
             if pool is not None and not drained_inline:
                 pool.join(timeout=policy.timeout)

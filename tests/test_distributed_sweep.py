@@ -9,16 +9,21 @@ entirely from the sqlite result store with zero scenario executions.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.api import (
+    CancelToken,
+    ScenarioCompleted,
+    ScenarioRetried,
     ScenarioSpec,
     Sweep,
     WorkloadSpec,
@@ -235,6 +240,137 @@ class TestWorkerCrashRecovery:
             assert record.attempts == 2  # zombie's claim + the recovery claim
             with SqliteResultStore(db) as store:
                 assert store.get(spec.fingerprint()).report is not None
+
+
+def _payload_hash(result) -> str:
+    """Canonical hash of a result payload, wall time excluded."""
+    payload = result.to_dict()
+    payload.pop("wall_time_s", None)
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class InjectedFault(RuntimeError):
+    """Raised by :class:`ScriptedFaults` at a scripted call."""
+
+
+class ScriptedFaults:
+    """A broker wrapper that fails named lifecycle calls on a script.
+
+    ``ScriptedFaults(broker, complete_many=1)`` raises :class:`InjectedFault`
+    from the first ``complete_many`` call instead of making it; later
+    calls, and every other method, go to the wrapped broker unchanged.
+    """
+
+    def __init__(self, inner, **failures: int):
+        self._inner = inner
+        self._failures = dict(failures)
+
+    def __getattr__(self, name):
+        method = getattr(self._inner, name)
+        if not self._failures.get(name):
+            return method
+
+        def scripted(*args, **kwargs):
+            if self._failures.get(name):
+                self._failures[name] -= 1
+                raise InjectedFault(f"scripted {name} failure")
+            return method(*args, **kwargs)
+
+        return scripted
+
+
+class TestLostCommit:
+    def test_worker_dying_before_its_commit_loses_only_leases(self, base, tmp_path):
+        """The executed batch is redone after lease expiry; results equal inline."""
+        from repro.distributed import LeasePolicy, Worker, WorkerConfig
+
+        fast = LeasePolicy(timeout=0.4, heartbeat_interval=0.1)
+        specs = list(twelve_scenario_sweep(base).specs)
+        db = tmp_path / "queue.sqlite"
+        with Broker(db, policy=fast) as broker:
+            broker.enqueue([spec.to_dict() for spec in specs], [s.fingerprint() for s in specs])
+            doomed = Worker(db, config=WorkerConfig(policy=fast, claim_batch=4))
+            doomed._broker = ScriptedFaults(doomed._broker, complete_many=1)
+            with pytest.raises(InjectedFault):
+                doomed.run()
+            doomed.close()
+            # the worker died holding its executed batch: leased, nothing stored
+            assert broker.counts() == {"pending": 8, "leased": 4, "done": 0, "failed": 0}
+            lost = {record.fingerprint for record in broker.tasks("leased")}
+            deadline = time.monotonic() + 30.0
+            while broker.requeue_expired() == (0, 0):
+                assert time.monotonic() < deadline, "leases never expired"
+                time.sleep(fast.heartbeat_interval)
+            assert broker.counts()["pending"] == 12
+
+        outcome = run_specs(specs, executor="distributed", workers=2, db=db)
+        inline = run_specs(specs, executor="inline")
+        assert outcome.executed == 12 and outcome.failures == 0
+        assert [_payload_hash(r) for r in outcome.results] == [
+            _payload_hash(r) for r in inline.results
+        ]
+        with Broker(db) as broker:
+            assert {broker.task(fp).attempts for fp in lost} == {2}
+
+
+def _registers_then_blocks(target, worker_id=None, config=None):
+    """A worker process that registers with the queue, then never claims."""
+    from repro.distributed.targets import open_broker
+
+    open_broker(target).register_worker(worker_id)
+    threading.Event().wait()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the stuck worker is patched into the pool through a fork",
+)
+class TestStallGuard:
+    def test_alive_but_stuck_local_worker_is_drained_inline(self, base, tmp_path, monkeypatch):
+        from repro.distributed import LeasePolicy
+        from repro.distributed import worker as worker_module
+        from repro.distributed.executor import execute_stream
+
+        monkeypatch.setattr(worker_module, "worker_main", _registers_then_blocks)
+        specs = [base.with_overrides({"seed": seed}) for seed in range(3)]
+        todo = [(spec.fingerprint(), spec, index) for index, spec in enumerate(specs)]
+        policy = LeasePolicy(timeout=0.5, heartbeat_interval=0.1)
+        # Without the guard the sweep would wait forever: a backstop cancel
+        # turns that into a failed assertion instead of a hung suite.
+        backstop = CancelToken()
+        timer = threading.Timer(60.0, backstop.cancel)
+        timer.start()
+        try:
+            with pytest.warns(RuntimeWarning, match="local workers made no progress"):
+                events = list(
+                    execute_stream(
+                        todo,
+                        workers=1,
+                        db=tmp_path / "queue.sqlite",
+                        policy=policy,
+                        cancel=backstop,
+                    )
+                )
+        finally:
+            timer.cancel()
+        retried = [event for event in events if isinstance(event, ScenarioRetried)]
+        assert {event.fingerprint for event in retried} == {fp for fp, _, _ in todo}
+        completed = sorted(
+            (event for event in events if isinstance(event, ScenarioCompleted)),
+            key=lambda event: event.index,
+        )
+        assert [event.index for event in completed] == [0, 1, 2]
+        assert {event.worker_id for event in completed} == {"parent-inline"}
+        inline = run_specs(specs, executor="inline")
+        assert [_payload_hash(e.result) for e in completed] == [
+            _payload_hash(r) for r in inline.results
+        ]
+        # the stuck member was terminated, not left behind
+        assert not [
+            child for child in multiprocessing.active_children()
+            if child.name.startswith("worker-")
+        ]
 
 
 class TestFailurePropagation:

@@ -238,6 +238,26 @@ class TestFederatedBroker:
         record = fed.task(specs[0].fingerprint())
         assert record is not None and record.status == "done"
 
+    def test_complete_many_commits_once_per_owning_shard(self, fed):
+        specs = [_tiny_spec(seed) for seed in range(10)]
+        _enqueue(fed, specs)
+        tasks = fed.claim_many("w1", 10)
+        assert len(tasks) == 10
+        calls = []
+        for index, shard in enumerate(fed._shards):
+            def spy(worker_id, items, _index=index, _inner=shard.complete_many):
+                calls.append((_index, [fingerprint for fingerprint, _ in items]))
+                _inner(worker_id, items)
+
+            shard.complete_many = spy
+        fed.complete_many("w1", [(t.fingerprint, {"ok": t.fingerprint}) for t in tasks])
+        shards_called = [index for index, _ in calls]
+        assert len(shards_called) == len(set(shards_called))  # one commit per shard
+        for index, fingerprints in calls:
+            assert {fed.topology.owner_of(fp) for fp in fingerprints} == {index}
+        assert sorted(fp for _, fps in calls for fp in fps) == sorted(t.fingerprint for t in tasks)
+        assert fed.counts()["done"] == 10 and fed.settled()
+
     def test_merged_event_stream_is_strictly_monotonic(self, fed):
         specs = [_tiny_spec(seed) for seed in range(10)]
         _enqueue(fed, specs)
@@ -379,6 +399,28 @@ class TestFederatedResultStore:
             with open_store(owner) as shard:
                 assert result.fingerprint in shard
 
+    def test_get_many_reads_each_owning_shard_once(self, shard_paths):
+        results = [run(_tiny_spec(seed)) for seed in range(6)]
+        with FederatedResultStore(_spec_for(shard_paths)) as writer:
+            for result in results:
+                writer.put(result)
+        with FederatedResultStore(_spec_for(shard_paths)) as store:
+            asked = []
+            for shard in store._shards:
+                def spy(fingerprints, _inner=shard.get_many):
+                    asked.append(list(fingerprints))
+                    return _inner(fingerprints)
+
+                shard.get_many = spy
+            fetched = store.get_many([r.fingerprint for r in results] + ["0" * 16])
+            assert {fp: r.to_dict() for fp, r in fetched.items()} == {
+                r.fingerprint: r.to_dict() for r in results
+            }
+            assert len(asked) <= len(shard_paths)
+            assert sorted(fp for fps in asked for fp in fps) == sorted(
+                [r.fingerprint for r in results] + ["0" * 16]
+            )
+
     def test_summary_rows_merge_and_validate(self, shard_paths):
         results = [run(_tiny_spec(seed)) for seed in range(4)]
         with FederatedResultStore(_spec_for(shard_paths)) as store:
@@ -405,6 +447,7 @@ class TestFederatedSweepParity:
         sweep = Sweep(base, [{"seed": seed} for seed in range(6)])
         single = sweep.run(executor="distributed", workers=2, db=str(tmp_path / "single.sqlite"))
         assert single.executed == 6
+        inline = sweep.run(executor="inline")
 
         spec = _spec_for(_shard_paths(tmp_path))
         federated = sweep.run(executor="distributed", workers=2, broker=spec)
@@ -418,7 +461,7 @@ class TestFederatedSweepParity:
                 rows.append(payload)
             return json.dumps(rows, sort_keys=True)
 
-        assert strip(single) == strip(federated)
+        assert strip(single) == strip(federated) == strip(inline)
 
         # the re-run is answered entirely from the sharded result store
         rerun = sweep.run(executor="distributed", workers=2, broker=spec)

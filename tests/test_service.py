@@ -240,6 +240,23 @@ class TestHttpBrokerParity:
         rest = broker.claim_many("w2", 10)
         assert len(rest) == 2  # partial batch when the queue runs dry
 
+    def test_complete_many_over_http(self, service):
+        specs = [_tiny_spec(seed=s) for s in range(3)]
+        broker = HttpBroker(service.url)
+        broker.enqueue([s.to_dict() for s in specs], [s.fingerprint() for s in specs])
+        broker.register_worker("w1")
+        batch = broker.claim_many("w1", 3)
+        since = broker.last_event_seq()
+        results = [run(ScenarioSpec.from_dict(task.payload)) for task in batch]
+        broker.complete_many("w1", [(r.fingerprint, r.to_dict()) for r in results])
+        assert broker.counts()["done"] == 3
+        assert [row["kind"] for row in broker.events_since(since)] == ["completed"] * 3
+        assert broker.workers()[0]["tasks_done"] == 3
+        fetched = HttpResultStore(service.url).get_many([r.fingerprint for r in results])
+        assert {fp: r.report for fp, r in fetched.items()} == {
+            r.fingerprint: r.report for r in results
+        }
+
     def test_stats_and_leased_detail(self, service):
         spec = _tiny_spec()
         broker = HttpBroker(service.url)
@@ -267,6 +284,39 @@ class TestHttpResultStore:
         assert len(store) == 1
         assert result.fingerprint in store
         assert store.fingerprints() == {result.fingerprint}
+
+    def test_get_many_in_one_round_trip(self, service, monkeypatch):
+        from repro.distributed import connect
+        from repro.service import client as client_module
+
+        results = [run(_tiny_spec(seed=s)) for s in range(2)]
+        writer = HttpResultStore(service.url)
+        for result in results:
+            writer.put(result)
+        conn = connect(service.db)
+        conn.execute(
+            "INSERT INTO results (fingerprint, payload, created_at) VALUES (?, ?, 0)",
+            ("deadbeef", "{ not json"),
+        )
+        conn.close()
+        calls = []
+        real_rpc = client_module.rpc_call
+
+        def counting_rpc(url, method, *args, **kwargs):
+            calls.append(method)
+            return real_rpc(url, method, *args, **kwargs)
+
+        monkeypatch.setattr(client_module, "rpc_call", counting_rpc)
+        store = HttpResultStore(service.url)  # no local memo
+        wanted = [r.fingerprint for r in results] + ["deadbeef", "missing"]
+        fetched = store.get_many(wanted)
+        assert calls == ["result_get_many"]
+        # corrupt rows and misses are absent, exactly like the sqlite store
+        assert {fp: r.report for fp, r in fetched.items()} == {
+            r.fingerprint: r.report for r in results
+        }
+        assert store.get(results[0].fingerprint).report == results[0].report
+        assert calls == ["result_get_many"]  # memoized
 
     def test_shared_with_sqlite_store(self, service):
         """HTTP writes land in the same rows the local store reads."""
@@ -311,6 +361,24 @@ class TestHttpWorker:
         store = HttpResultStore(service.url)
         for spec in specs:
             assert store.get(spec.fingerprint()) is not None
+
+    def test_worker_commits_through_complete_many(self, service):
+        specs = [_tiny_spec(seed=s) for s in range(3)]
+        HttpBroker(service.url).enqueue(
+            [s.to_dict() for s in specs], [s.fingerprint() for s in specs]
+        )
+        worker = Worker(service.url, config=WorkerConfig(policy=FAST, claim_batch=3))
+        committed = []
+        complete_many = worker._broker.complete_many
+
+        def record(worker_id, items):
+            committed.extend(fingerprint for fingerprint, _ in items)
+            complete_many(worker_id, items)
+
+        worker._broker.complete_many = record
+        assert worker.run() == 3
+        worker.close()
+        assert sorted(committed) == sorted(s.fingerprint() for s in specs)
 
     def test_worker_exits_when_remote_queue_drains(self, service):
         HttpBroker(service.url).drain()

@@ -279,117 +279,6 @@ def test_search_vs_grid_scenarios_to_best(benchmark, executor, tmp_path):
     benchmark.extra_info["bisect_executed"] = bisect.executed
 
 
-#: Shape of the federation contention benchmark: a fleet of worker
-#: processes all enqueueing and batch-claiming against the same target.
-FED_SHARDS = 4
-FED_WORKERS = 4
-FED_TASKS = 240
-FED_BATCH = 8
-#: Rounds per side; the minimum is compared (see OVERHEAD_ROUNDS).
-FED_ROUNDS = 2
-
-
-def _federation_drain_worker(target, tid, per, batch, enqueue_barrier, claim_barrier, out):
-    """One contending worker process: enqueue a slice, then drain the queue."""
-    from repro.distributed import open_broker
-
-    broker = open_broker(target)
-    fingerprints = [f"{tid:02x}{i:06x}{'f' * 8}" for i in range(per)]
-    payloads = [{"worker": tid, "i": i} for i in range(per)]
-    enqueue_barrier.wait()
-    started = time.perf_counter()
-    for lo in range(0, per, batch):
-        broker.enqueue(payloads[lo : lo + batch], fingerprints[lo : lo + batch])
-    # Every task is queued before anyone claims, so an empty claim_many
-    # really means the queue is drained, not that a producer is behind.
-    claim_barrier.wait()
-    done = 0
-    while True:
-        tasks = broker.claim_many(f"bench-w{tid}", batch)
-        if not tasks:
-            break
-        for task in tasks:
-            broker.complete(task.fingerprint, f"bench-w{tid}", {"ok": True})
-        done += len(tasks)
-    broker.close()
-    out.put((done, time.perf_counter() - started))
-
-
-def _contended_drain(target: str) -> float:
-    """Tasks/sec for FED_WORKERS processes hammering one queue target."""
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    per = FED_TASKS // FED_WORKERS
-    enqueue_barrier = context.Barrier(FED_WORKERS)
-    claim_barrier = context.Barrier(FED_WORKERS)
-    out = context.Queue()
-    procs = [
-        context.Process(
-            target=_federation_drain_worker,
-            args=(target, tid, per, FED_BATCH, enqueue_barrier, claim_barrier, out),
-        )
-        for tid in range(FED_WORKERS)
-    ]
-    for proc in procs:
-        proc.start()
-    reports = [out.get() for _ in procs]
-    for proc in procs:
-        proc.join()
-    assert sum(done for done, _ in reports) == FED_TASKS
-    return FED_TASKS / max(elapsed for _, elapsed in reports)
-
-
-def test_federated_broker_contended_throughput(benchmark, tmp_path):
-    """Aggregate enqueue+claim throughput: one sqlite broker vs 4 shards.
-
-    The single WAL file serializes every writer on one lock; the
-    federation partitions the fingerprint space so the same fleet spreads
-    its transactions over FED_SHARDS independent locks.  The headline
-    acceptance ratio (federation ≥ 2x) needs those writers to actually
-    run in parallel, so it is asserted only where the host has at least
-    FED_SHARDS CPUs; on smaller hosts the measured ratio is still
-    recorded in ``extra_info`` for inspection.
-    """
-    import multiprocessing
-    import os
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("contended federation benchmark needs fork-based multiprocessing")
-
-    def fresh_single(round_index: int) -> str:
-        return str(tmp_path / f"single{round_index}.sqlite")
-
-    def fresh_federated(round_index: int) -> str:
-        return "shards:" + ",".join(
-            str(tmp_path / f"round{round_index}-shard{i}.sqlite") for i in range(FED_SHARDS)
-        )
-
-    # Interleaved rounds, min-of-N per side (see test_event_stream_overhead).
-    single_rates, federated_rates = [], []
-    for round_index in range(FED_ROUNDS):
-        single_rates.append(_contended_drain(fresh_single(round_index)))
-        federated_rates.append(_contended_drain(fresh_federated(round_index)))
-    single_rate, federated_rate = max(single_rates), max(federated_rates)
-
-    benchmark.pedantic(
-        lambda: _contended_drain(fresh_federated(FED_ROUNDS)), rounds=1, iterations=1
-    )
-    speedup = federated_rate / max(single_rate, 1e-9)
-    benchmark.extra_info["shards"] = FED_SHARDS
-    benchmark.extra_info["workers"] = FED_WORKERS
-    benchmark.extra_info["tasks"] = FED_TASKS
-    benchmark.extra_info["single_enqueue_claim_per_sec"] = single_rate
-    benchmark.extra_info["federated_enqueue_claim_per_sec"] = federated_rate
-    benchmark.extra_info["federated_speedup"] = speedup
-    assert single_rate > 0 and federated_rate > 0
-    if (os.cpu_count() or 1) >= FED_SHARDS:
-        assert speedup >= 2.0, (
-            f"4-shard federation reached only {speedup:.2f}x the single broker "
-            f"({federated_rate:.0f}/s vs {single_rate:.0f}/s) under contention"
-        )
-
-
 def test_events_since_drain_throughput(benchmark, tmp_path):
     """Events/sec through batched ``events_since`` reads.
 

@@ -22,13 +22,13 @@ or drive long-lived workers from the CLI::
     chronos-experiments workers status --db queue.sqlite
 
 Queue *targets* are strings: a sqlite path (``"queue.sqlite"`` /
-``"sqlite:queue.sqlite"``) for workers sharing a filesystem, the
+``"sqlite:queue.sqlite"``) for workers sharing a filesystem, or the
 ``http://host:port`` URL of a :mod:`repro.service` broker front-end for
-multi-host fleets, or a ``shards:`` spec federating N of either behind
-:mod:`repro.federation` — :func:`open_broker` / :func:`open_store`
-dispatch, and :class:`Worker`, :class:`WorkerPool` and :func:`execute`
-accept any of them.  The pieces are public for anyone building a custom topology
-(remote workers pointed at a shared service, worker recycling, etc.).
+multi-host fleets — :func:`open_broker` / :func:`open_store` dispatch,
+and :class:`Worker`, :class:`WorkerPool` and :func:`execute_stream`
+accept either.  The pieces are public for anyone building a custom
+topology (remote workers pointed at a shared service, worker recycling,
+etc.).
 """
 
 from repro.distributed.broker import (
@@ -39,7 +39,7 @@ from repro.distributed.broker import (
     TaskFailedError,
     TaskRecord,
 )
-from repro.distributed.executor import default_db_path, execute, execute_stream
+from repro.distributed.executor import default_db_path, execute_stream
 from repro.distributed.leases import Lease, LeaseKeeper, LeasePolicy
 from repro.distributed.store import (
     SUMMARY_COLUMNS,
@@ -48,13 +48,7 @@ from repro.distributed.store import (
     normalize_db_path,
     summary_from_payload,
 )
-from repro.distributed.targets import (
-    is_federation_target,
-    is_service_url,
-    open_broker,
-    open_store,
-    target_uses_service,
-)
+from repro.distributed.targets import is_service_url, open_broker, open_store
 from repro.distributed.worker import (
     RestartPolicy,
     RestartRateLimiter,
@@ -93,12 +87,9 @@ __all__ = [
     # targets
     "normalize_db_path",
     "is_service_url",
-    "is_federation_target",
-    "target_uses_service",
     "open_broker",
     "open_store",
     # driver
-    "execute",
     "execute_stream",
     "default_db_path",
 ]

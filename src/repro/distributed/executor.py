@@ -1,26 +1,31 @@
-"""The distributed sweep driver: enqueue, supervise, stream, collect.
+"""The distributed sweep driver: enqueue, reconcile, collect.
 
 :func:`execute_stream` is the backend behind ``run_specs(...,
 executor="distributed")`` and ``Sweep.stream``.  It enqueues the
 uncached scenarios on a queue *target* — a sqlite database path, or the
 ``http(s)://`` URL of a :mod:`repro.service` broker front-end — spins up
 a :class:`~repro.distributed.worker.WorkerPool` (unless the caller
-relies on remote fleets already attached to the service) and supervises
-the run: sweeping expired leases, fast-releasing the leases of workers
-the parent reaps, and falling back to executing the remainder inline if
-the pool dies or the queue stalls (nothing leased and nothing completed
-for a lease timeout: no fleet attached to a remote queue, or local
-workers alive but stuck), so a sweep never deadlocks.
+relies on remote fleets already attached to the service) and then runs a
+level-triggered reconcile loop.  Each pass tails the event log, reads
+the queue's task counts once and takes exactly one action: stop on
+cancellation, leave once nothing is pending or leased, drain the
+remainder inline when the queue stalls (the local pool died, or nothing
+was leased or completed for a lease timeout: no fleet attached to a
+remote queue, or local workers alive but stuck), or else sweep expired
+leases, reap dead workers and wait.  No decision depends on having seen
+an event, so a sweep never deadlocks on a lost one.
 
-Progress is *observed*, not polled per result: every queue transition
-(claim, completion, failure, lease requeue) is appended to the broker's
-monotonic event log, and the driver tails that log — locally via
-:meth:`~repro.distributed.broker.Broker.events_since`, remotely via the
-service's ``events_since`` RPC — translating queue events into the
-:mod:`repro.api.events` vocabulary as they land.  Completed results come
-back from the shared result store, one ``get_many`` read per batch of
-log rows, which also makes an identical re-run
-a pure store read with zero executions.
+The broker's monotonic event log (claims, completions, failures, lease
+requeues) only drives the live display: the driver tails it — locally
+via :meth:`~repro.distributed.broker.Broker.events_since`, remotely via
+the service's ``events_since`` RPC — translating queue events into the
+:mod:`repro.api.events` vocabulary as they land, with one ``get_many``
+store read per batch of log rows.  The result store decides what is
+done: once the queue settles, one ``get_many`` over every fingerprint
+not yet collected picks up each result whose ``completed`` row the
+driver never read (pruned by a concurrent ``drain``, or an event tail
+that kept failing).  An identical re-run is a pure store read with zero
+executions.
 
 Cancellation (a tripped :class:`~repro.api.sweep.CancelToken`, or the
 consumer closing the stream on Ctrl-C) is cooperative and clean: the
@@ -50,17 +55,12 @@ from repro.api.events import (
     ScenarioStarted,
     SweepEvent,
 )
-from repro.api.facade import ScenarioResult, spec_from_dict
+from repro.api.facade import spec_from_dict
 from repro.api.facade import execute as execute_spec
 from repro.api.spec import ScenarioSpec
 from repro.distributed.broker import TaskFailedError
 from repro.distributed.leases import LeasePolicy
-from repro.distributed.targets import (
-    is_federation_target,
-    is_service_url,
-    open_broker,
-    open_store,
-)
+from repro.distributed.targets import is_service_url, open_broker, open_store
 from repro.distributed.worker import WorkerConfig, WorkerPool
 
 #: Seconds between supervision passes while workers run.
@@ -75,9 +75,9 @@ REMOTE_SUPERVISE_INTERVAL = 0.25
 #: Queue-log rows fetched per ``events_since`` batch while supervising.
 EVENT_BATCH = 500
 
-#: Consecutive ``events_since`` failures tolerated (transient transport
-#: blips ride through on the store-polling fallback) before event tailing
-#: is disabled for the rest of the sweep — with a warning, never silently.
+#: Consecutive ``events_since`` failures after which the driver warns
+#: that live progress is stalled.  Tailing never stops: every pass
+#: retries from the last row read, and results never depend on it.
 TAIL_FAILURE_LIMIT = 3
 
 
@@ -104,7 +104,9 @@ def execute_stream(
     :class:`ScenarioCacheHit` for every scenario already in the result
     store (work a previous run paid for), then per-scenario
     ``ScenarioStarted`` / ``ScenarioRetried`` / ``ScenarioCompleted``
-    events tailed from the broker's event log as workers make progress.
+    events tailed from the broker's event log as workers make progress
+    (a completion whose log row was never read arrives from the result
+    store once the queue settles, without a ``worker_id``).
     ``index`` rides through untouched, so the sweep layer's positions
     arrive intact on the far side.
 
@@ -138,11 +140,8 @@ def execute_stream(
     """
     if broker is not None and db is not None:
         raise ValueError("pass either db (sqlite path) or broker (service URL), not both")
-    if broker is not None and not (is_service_url(broker) or is_federation_target(broker)):
-        raise ValueError(
-            f"broker must be an http(s):// service URL or a 'shards:' federation "
-            f"spec, got {broker!r}"
-        )
+    if broker is not None and not is_service_url(broker):
+        raise ValueError(f"broker must be an http(s):// service URL, got {broker!r}")
     if on_failure not in ("raise", "continue"):
         raise ValueError(f"on_failure must be 'raise' or 'continue', got {on_failure!r}")
     remote = broker is not None
@@ -218,19 +217,9 @@ def _stream(
 
         # Remember where the queue log stands *before* we enqueue, so the
         # tail below replays every transition of this run and none of an
-        # earlier one.  Older brokers/services without an event log fall
-        # back to polling the result store for completions (a version
-        # mismatch, not a fault — no warning for that).
-        events_supported = True
+        # earlier one.
+        since = broker_client.last_event_seq()
         tail_failures = 0
-        try:
-            since = broker_client.last_event_seq()
-        except Exception as error:
-            if _is_auth_error(error):
-                raise
-            events_supported = False
-            since = 0
-
         broker_client.enqueue(
             [spec.to_dict() for _, spec, _ in pending],
             [fingerprint for fingerprint, _, _ in pending],
@@ -239,33 +228,28 @@ def _stream(
         position_of.update({fingerprint: index for fingerprint, _, index in pending})
 
         def tail_log() -> Iterator[SweepEvent]:
-            """Translate fresh queue-log rows into sweep events."""
-            nonlocal since, events_supported, tail_failures
-            if not events_supported:
-                yield from collect_from_store()
-                return
+            """Translate fresh queue-log rows into sweep events.
+
+            Display only: a failed read leaves ``since`` where it was, so
+            the next call retries from there, and the post-settle store
+            read collects any result the tail never announced.
+            """
+            nonlocal since, tail_failures
             while True:
                 try:
                     batch = broker_client.events_since(since, limit=EVENT_BATCH)
                 except Exception as error:
                     if _is_auth_error(error):
                         raise
-                    # One transport blip must not silently kill live
-                    # progress for the rest of the sweep: ride it out on
-                    # the store fallback and retry next pass; only a
-                    # persistent failure disables tailing, and loudly.
                     tail_failures += 1
-                    if tail_failures >= TAIL_FAILURE_LIMIT:
-                        events_supported = False
+                    if tail_failures == TAIL_FAILURE_LIMIT:
                         warnings.warn(
-                            f"disabling sweep event tailing after "
-                            f"{tail_failures} consecutive events_since "
-                            f"failures ({error}); progress degrades to "
-                            "result-store polling",
+                            f"sweep event tailing failed {tail_failures} times in a "
+                            f"row ({error}); live progress is delayed until it "
+                            "recovers, and results are still read from the store",
                             RuntimeWarning,
                             stacklevel=2,
                         )
-                    yield from collect_from_store()
                     return
                 tail_failures = 0
                 # One store read for every result this batch announces.
@@ -322,18 +306,6 @@ def _stream(
                 if len(batch) < EVENT_BATCH:
                     return
 
-        def collect_from_store() -> Iterator[SweepEvent]:
-            """Event-log-free fallback: diff the result store's contents."""
-            fresh = (store.fingerprints() & position_of.keys()) - collected
-            for fingerprint, result in store.get_many(fresh).items():
-                collected.add(fingerprint)
-                yield ScenarioCompleted(
-                    fingerprint=fingerprint,
-                    index=position_of[fingerprint],
-                    result=result,
-                    elapsed_s=clock(),
-                )
-
         def remaining() -> List[str]:
             return [fingerprint for fingerprint in position_of if fingerprint not in collected]
 
@@ -355,50 +327,53 @@ def _stream(
         supervise_interval = REMOTE_SUPERVISE_INTERVAL if remote else SUPERVISE_INTERVAL
         last_done = -1
         last_progress = time.monotonic()
-        drained_inline = False
         try:
             if pool is not None:
                 pool.start()
-            while not broker_client.settled():
+            # The reconcile loop: observe, then take exactly one action.
+            while True:
+                yield from tail_log()
                 if cancelled():
                     release_on_cancel()
                     return
-                broker_client.requeue_expired()
-                if pool is not None:
-                    pool.supervise(broker_client)
-                yield from tail_log()
-                # Stall guard: if nothing is leased and nothing completes for
-                # a full lease timeout, no worker is making progress — no
-                # fleet attached to a remote queue, or local workers alive
-                # but stuck (e.g. forked while the parent held an sqlite
-                # lock).  A local pool that died outright needs no wait.
-                # Either way the remainder is drained inline rather than
-                # hanging the sweep forever.
+                # Liveness is read before the counts, so workers that exit
+                # because the queue just settled never look like a dead pool.
+                alive = pool.alive_count() if pool is not None else None
                 counts = broker_client.counts()
+                if counts["pending"] == 0 and counts["leased"] == 0:
+                    if pool is not None:
+                        pool.join(timeout=policy.timeout)
+                    break
+                # Stall guard: if nothing is leased and nothing completes
+                # for a full lease timeout, no worker is making progress —
+                # no fleet attached to a remote queue, or local workers
+                # alive but stuck (e.g. forked while the parent held an
+                # sqlite lock).  A local pool that died outright needs no
+                # wait.  Either way the remainder is drained inline rather
+                # than hanging the sweep forever.
                 if counts["leased"] > 0 or counts["done"] != last_done:
                     last_done = counts["done"]
                     last_progress = time.monotonic()
-                unsettled = counts["pending"] > 0 or counts["leased"] > 0
-                stall = None
-                if unsettled and pool is not None and pool.alive_count() == 0:
+                if alive == 0:
                     stall = "local worker pool died"
-                elif unsettled and time.monotonic() - last_progress > policy.timeout:
+                elif time.monotonic() - last_progress > policy.timeout:
                     stall = (
                         "local workers made no progress"
                         if pool is not None
                         else f"no worker fleet attached to {target}"
                     )
-                if stall is not None:
-                    yield from _announce_inline_drain(stall, remaining(), position_of, clock)
+                else:
+                    broker_client.requeue_expired()
                     if pool is not None:
-                        pool.terminate()
-                        pool.reap(broker_client)
-                    yield from _drain_inline(broker_client, cancel, tail_log)
-                    drained_inline = True
-                    break
-                time.sleep(supervise_interval)
-            if pool is not None and not drained_inline:
-                pool.join(timeout=policy.timeout)
+                        pool.supervise(broker_client)
+                    time.sleep(supervise_interval)
+                    continue
+                yield from _announce_inline_drain(stall, remaining(), position_of, clock)
+                if pool is not None:
+                    pool.terminate()
+                    pool.reap(broker_client)
+                yield from _drain_inline(broker_client, cancel, tail_log)
+                break
         except (GeneratorExit, KeyboardInterrupt):
             # The consumer closed the stream mid-run (early break, tripped
             # stop condition), or Ctrl-C landed inside this frame: either
@@ -409,9 +384,22 @@ def _stream(
             if pool is not None:
                 pool.terminate()
         yield from tail_log()
-        # Safety net: anything completed without a visible log transition
-        # (e.g. a mixed-version service) is still collected by store diff.
-        yield from collect_from_store()
+        # The level check: the result store, not the event log, decides
+        # what is done.  One read collects every result whose ``completed``
+        # row was never read (pruned by a concurrent drain, or a tail that
+        # kept failing).
+        missed = remaining()
+        found = store.get_many(missed)
+        for fingerprint in missed:
+            result = found.get(fingerprint)
+            if result is not None:
+                collected.add(fingerprint)
+                yield ScenarioCompleted(
+                    fingerprint=fingerprint,
+                    index=position_of[fingerprint],
+                    result=result,
+                    elapsed_s=clock(),
+                )
         if cancelled():
             release_on_cancel()
             return
@@ -462,41 +450,6 @@ def _stream(
             # We minted the temp queue; its durability has no value past
             # this call, so do not litter the temp dir with WAL files.
             shutil.rmtree(Path(target).parent, ignore_errors=True)
-
-
-def execute(
-    todo: Sequence[Tuple[str, ScenarioSpec]],
-    commit: Callable[[int, ScenarioResult], None],
-    *,
-    workers: Optional[int] = 3,
-    db: Optional[Union[str, Path]] = None,
-    broker: Optional[str] = None,
-    policy: Optional[LeasePolicy] = None,
-) -> Tuple[Dict[int, ScenarioResult], Set[int]]:
-    """Blocking wrapper over :func:`execute_stream` (the PR 2/3 surface).
-
-    ``commit(position, result)`` is called once per finished scenario, in
-    completion order.  Returns the results by position plus the set of
-    positions answered straight from the result store (work a previous
-    run already paid for — callers report those as cache hits, not
-    executions).
-    """
-    done: Dict[int, ScenarioResult] = {}
-    served_from_store: Set[int] = set()
-    triples = [
-        (fingerprint, spec, position) for position, (fingerprint, spec) in enumerate(todo)
-    ]
-    for event in execute_stream(
-        triples, workers=workers, db=db, broker=broker, policy=policy
-    ):
-        if isinstance(event, ScenarioCacheHit):
-            done[event.index] = event.result
-            served_from_store.add(event.index)
-            commit(event.index, event.result)
-        elif isinstance(event, ScenarioCompleted):
-            done[event.index] = event.result
-            commit(event.index, event.result)
-    return done, served_from_store
 
 
 def _is_auth_error(error: Exception) -> bool:

@@ -133,7 +133,7 @@ class Worker:
         worker_id: Optional[str] = None,
         config: Optional[WorkerConfig] = None,
     ):
-        from repro.distributed.targets import open_broker, target_uses_service
+        from repro.distributed.targets import is_service_url, open_broker
 
         self.worker_id = worker_id or make_worker_id()
         self.config = config if config is not None else WorkerConfig()
@@ -143,8 +143,7 @@ class Worker:
         # already tolerates gaps); over sqlite any error is a local fault.
         # Rejected credentials are the opposite of transient: a bad token
         # never fixes itself, so retrying would just hammer the server.
-        # A shard federation counts as HTTP when any shard is a service.
-        if target_uses_service(self._target):
+        if is_service_url(self._target):
             from repro.service.protocol import ServiceAuthError, ServiceError
 
             self._transient_errors: Tuple[type, ...] = (ServiceError,)

@@ -327,10 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--broker",
         metavar="URL",
         help=(
-            "http(s)://host:port of a 'chronos-experiments serve' sweep service, or a "
-            "'shards:a.sqlite,b.sqlite' / 'shards:topology.json' federation of several "
-            "backends; an alternative to --db for 'sweep' and 'workers' that needs no "
-            "shared filesystem (multi-host fleets)"
+            "http(s)://host:port of a 'chronos-experiments serve' sweep service; an "
+            "alternative to --db for 'sweep' and 'workers' that needs no shared "
+            "filesystem (multi-host fleets)"
         ),
     )
     parser.add_argument(
@@ -1020,7 +1019,7 @@ def run_workers_command(args: argparse.Namespace) -> int:
     try:
         broker = open_broker(target, policy=policy)
     except ValueError as error:
-        # e.g. an unrecognized target scheme or a malformed shards: spec
+        # e.g. an unrecognized target scheme
         print(f"workers: {error}", file=sys.stderr)
         return 2
     try:
@@ -1149,7 +1148,7 @@ def run_trace_command(args: argparse.Namespace) -> int:
         finally:
             broker.close()
     except ValueError as error:
-        # e.g. an unrecognized target scheme or a malformed shards: spec
+        # e.g. an unrecognized target scheme
         print(f"trace: {error}", file=sys.stderr)
         return 2
     except ServiceAuthError as error:
@@ -1212,41 +1211,6 @@ def format_worker_status(stats: Dict[str, object]) -> str:
             if retained and first is not None:
                 line += f" (seq {first}..{stats['events']})"
         lines.insert(-1, line)
-    shards = stats.get("shards") or []
-    if shards:
-        # Federation target: one row per shard (the top-level numbers
-        # above are the merged totals), so a hot or unreachable shard is
-        # visible without opening N databases.
-        lines.append(f"shards ({len(shards)}):")
-        header = (
-            f"  {'shard':<40} {'pend':>5} {'lease':>5} {'done':>5} {'fail':>5} "
-            f"{'results':>7} {'events':>12} {'claims/s':>8}"
-        )
-        lines.append(header)
-        rows = [
-            *shards,
-            {
-                "shard": "total",
-                "tasks": stats["tasks"],
-                "results": stats["results"],
-                "events": stats["events"],
-                "events_retained": stats.get("events_retained"),
-                "events_first": stats.get("events_first"),
-                "telemetry": stats.get("telemetry"),
-            },
-        ]
-        for shard in rows:
-            tasks_by_state = shard["tasks"]
-            telemetry = shard.get("telemetry") or {}
-            first = shard.get("events_first")
-            retained = shard.get("events_retained") or 0
-            span = f"{first}..{shard['events']}" if retained and first is not None else "-"
-            lines.append(
-                f"  {str(shard['shard']):<40} {tasks_by_state['pending']:>5} "
-                f"{tasks_by_state['leased']:>5} {tasks_by_state['done']:>5} "
-                f"{tasks_by_state['failed']:>5} {shard['results']:>7} {span:>12} "
-                f"{float(telemetry.get('claim_rate_per_s', 0.0)):>8.2f}"
-            )
     leased = stats.get("leased") or []
     if leased:
         # Stuck leases are the thing operators look for: attempts climbing

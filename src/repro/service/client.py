@@ -5,8 +5,8 @@ surface as :class:`~repro.distributed.Broker` and
 :class:`~repro.distributed.SqliteResultStore`, but every call is one
 ``POST /rpc`` round trip to a :mod:`repro.service.server` — so
 :class:`~repro.distributed.Worker`, ``WorkerPool.supervise``,
-:func:`repro.distributed.execute` and the CLI run unchanged against a
-remote URL.
+:func:`repro.distributed.execute_stream` and the CLI run unchanged
+against a remote URL.
 
 Both clients are stateless between calls (plain ``urllib`` requests, no
 shared connection), which makes them thread safe: one instance can be

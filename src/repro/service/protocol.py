@@ -23,9 +23,10 @@ Queue *progress* crosses the same way: the ``events_since`` method
 relays the broker's monotonic event log as plain dicts (``{"seq", "ts",
 "kind", "fingerprint", "worker_id", "detail"}``), ``last_event_seq``
 answers where the log stands, and ``release_pending`` lets a cancelled
-remote sweep withdraw its unclaimed tasks.  All three are additive —
-protocol version 1 clients keep working against newer servers, and the
-sweep driver degrades to result-store polling against older ones.
+remote sweep withdraw its unclaimed tasks.  All three are additive, so
+protocol version 1 clients keep working against newer servers.  The
+sweep driver itself needs a server with the event-log RPCs
+(``last_event_seq`` / ``events_since``) and ``result_get_many``.
 """
 
 from __future__ import annotations

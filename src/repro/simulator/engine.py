@@ -133,44 +133,27 @@ class SimulationEngine:
             Optional simulation-time horizon.  Events strictly after the
             horizon remain queued and the clock is advanced to ``until``.
         max_events:
-            Optional safety cap on the number of events to execute.
+            Optional cap on the number of events to execute; a later call
+            continues exactly where a capped one stopped.
         """
-        if max_events is not None:
-            # Legacy per-event loop: an event cap could strand pre-popped
-            # batch members, so capped runs stay strictly one-at-a-time.
-            executed = 0
-            while self._queue:
-                if executed >= max_events:
-                    return
-                event = self._queue[0][2]
-                if event.cancelled:
-                    heapq.heappop(self._queue)
-                    continue
-                if until is not None and event.time > until:
-                    self._now = until
-                    return
-                heapq.heappop(self._queue)
-                self._now = event.time
-                event.callback(*event.args)
-                self._processed += 1
-                executed += 1
-            if until is not None and until > self._now:
-                self._now = until
-            return
-
-        # Hot path (no event cap): pop the whole run of same-timestamp
-        # events in one sweep instead of re-peeking the heap after every
-        # callback.  Events scheduled *by* a batch member at the same
-        # timestamp carry a higher sequence number, so they form the next
-        # sweep — overall execution order is identical to the one-at-a-time
-        # loop.  Cancellation by an earlier batch member is honoured by
-        # re-checking ``cancelled`` immediately before each callback runs.
+        # Pop the whole run of same-timestamp events in one sweep instead
+        # of re-peeking the heap after every callback.  Events scheduled
+        # *by* a batch member at the same timestamp carry a higher sequence
+        # number, so they form the next sweep — overall execution order is
+        # identical to a one-at-a-time loop.  Cancellation by an earlier
+        # batch member is honoured by re-checking ``cancelled`` immediately
+        # before each callback runs.  An event cap that lands mid-batch
+        # pushes the members that did not run back with their original
+        # ``(time, sequence)``, so a later ``run()`` resumes the same order.
         queue = self._queue
         pop = heapq.heappop
+        limit = math.inf if max_events is None else max_events
         processed = 0
         batch: List[Event] = []
         try:
             while queue:
+                if processed >= limit:
+                    return
                 head_time, _, event = queue[0]
                 if event.cancelled:
                     pop(queue)
@@ -184,9 +167,14 @@ class SimulationEngine:
                     batch.append(pop(queue)[2])
                 self._now = head_time
                 for member in batch:
-                    if not member.cancelled:
-                        member.callback(*member.args)
-                        processed += 1
+                    if member.cancelled:
+                        continue
+                    if processed >= limit:
+                        for unrun in batch[batch.index(member) :]:
+                            heapq.heappush(queue, (unrun.time, unrun.sequence, unrun))
+                        return
+                    member.callback(*member.args)
+                    processed += 1
                 batch.clear()
             if until is not None and until > self._now:
                 self._now = until

@@ -362,7 +362,7 @@ class TestEventTailDegradation:
         # short sweeps may settle before the real threshold accumulates;
         # a limit of 1 exercises the warn-and-degrade path deterministically
         monkeypatch.setattr(executor_module, "TAIL_FAILURE_LIMIT", 1)
-        with pytest.warns(RuntimeWarning, match="disabling sweep event tailing"):
+        with pytest.warns(RuntimeWarning, match="sweep event tailing failed"):
             outcome = run_specs(
                 list(sweep.specs), executor="distributed", workers=2,
                 db=tmp_path / "q.sqlite",

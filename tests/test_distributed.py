@@ -9,7 +9,7 @@ import time
 import pytest
 
 import repro.distributed.broker as broker_module
-from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run
+from repro.api import ScenarioSpec, WorkloadSpec, job_spec_to_dict, run, run_specs
 from repro.distributed import (
     Broker,
     LeaseKeeper,
@@ -17,6 +17,8 @@ from repro.distributed import (
     SqliteResultStore,
     Worker,
     WorkerConfig,
+    open_broker,
+    open_store,
 )
 from repro.simulator.entities import JobSpec
 
@@ -784,3 +786,35 @@ class TestEventLogRetention:
         broker.prune_events()
         stats = broker.stats()
         assert stats["events_retained"] == 0 and stats["events_first"] is None
+
+
+class TestQueueTargets:
+    def test_unknown_scheme_names_the_valid_forms(self):
+        with pytest.raises(ValueError) as excinfo:
+            open_broker("redis://localhost:6379")
+        message = str(excinfo.value)
+        assert "redis" in message
+        assert "sqlite" in message and "http" in message
+
+    def test_unknown_scheme_is_an_exit_2_diagnostic(self, capsys):
+        from repro.experiments import cli
+
+        assert cli.main(["workers", "status", "--broker", "redis://localhost:6379"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown queue target scheme" in err and "valid targets are" in err
+
+    def test_shard_federation_target_is_rejected_with_the_valid_forms(self, tmp_path, capsys):
+        """``shards:`` is no queue target: every entry point names the valid forms."""
+        from repro.experiments import cli
+
+        target = "shards:" + ",".join(str(tmp_path / f"s{i}.sqlite") for i in range(2))
+        for opener in (open_broker, open_store):
+            with pytest.raises(ValueError, match="unknown queue target scheme 'shards'") as info:
+                opener(target)
+            assert "valid targets are" in str(info.value)
+        with pytest.raises(ValueError, match="valid targets are"):
+            run_specs([_tiny_spec()], executor="distributed", broker=target)
+        assert cli.main(["workers", "status", "--broker", target]) == 2
+        err = capsys.readouterr().err
+        assert "unknown queue target scheme 'shards'" in err and "valid targets are" in err
+        assert not list(tmp_path.iterdir())  # nothing was opened or created

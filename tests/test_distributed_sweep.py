@@ -314,6 +314,48 @@ class TestLostCommit:
             assert {broker.task(fp).attempts for fp in lost} == {2}
 
 
+class TestLevelTriggeredCollection:
+    """The result store, not the event log, decides what a sweep has done."""
+
+    def _assert_matches_inline(self, specs, outcome):
+        inline = run_specs(specs, executor="inline")
+        assert not outcome.partial and outcome.executed == len(specs)
+        assert [_payload_hash(r) for r in outcome.results] == [
+            _payload_hash(r) for r in inline.results
+        ]
+
+    def test_never_observed_completions_are_collected(self, base, tmp_path, monkeypatch):
+        real = Broker.events_since
+
+        def without_completions(self, seq=0, limit=500):
+            return [row for row in real(self, seq, limit) if row["kind"] != "completed"]
+
+        monkeypatch.setattr(Broker, "events_since", without_completions)
+        specs = list(twelve_scenario_sweep(base).specs)
+        events = []
+        outcome = run_specs(
+            specs, executor="distributed", workers=2, db=tmp_path / "q.sqlite",
+            on_event=events.append,
+        )
+        self._assert_matches_inline(specs, outcome)
+        completed = [event for event in events if isinstance(event, ScenarioCompleted)]
+        assert sorted(event.index for event in completed) == list(range(len(specs)))
+        # no completed row was read, so every result came from the store read
+        assert {event.worker_id for event in completed} == {None}
+
+    @pytest.mark.filterwarnings("ignore:sweep event tailing failed:RuntimeWarning")
+    def test_persistent_tail_failure_still_returns_every_result(
+        self, base, tmp_path, monkeypatch
+    ):
+        def outage(self, seq=0, limit=500):
+            raise RuntimeError("simulated events_since outage")
+
+        monkeypatch.setattr(Broker, "events_since", outage)
+        specs = list(twelve_scenario_sweep(base).specs)
+        outcome = run_specs(specs, executor="distributed", workers=2, db=tmp_path / "q.sqlite")
+        self._assert_matches_inline(specs, outcome)
+
+
 def _registers_then_blocks(target, worker_id=None, config=None):
     """A worker process that registers with the queue, then never claims."""
     from repro.distributed.targets import open_broker

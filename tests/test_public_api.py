@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
 from repro import (
     ChronosOptimizer,
-    ClusterConfig,
-    JobSpec,
     ParetoDistribution,
     ScenarioSpec,
     StragglerModel,
     StrategyName,
-    StrategyParameters,
     Sweep,
     WorkloadSpec,
     expected_cost,
@@ -24,10 +24,20 @@ from repro import (
     tradeoff_frontier,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 class TestPackageSurface:
     def test_version_string(self):
-        assert repro.__version__ == "1.2.0"
+        """``pyproject.toml`` reads the package version from ``repro.__version__``."""
+        tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+        pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+        assert "version" not in pyproject["project"]
+        assert "version" in pyproject["project"]["dynamic"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -81,38 +91,8 @@ class TestPackageSurface:
 
 
 class TestDeprecatedShims:
-    def test_simulation_runner_shim_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="SimulationRunner is deprecated"):
-            runner_cls = repro.SimulationRunner
-        from repro.simulator.runner import SimulationRunner
-
-        assert runner_cls is SimulationRunner
-
-    def test_build_strategy_shim_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="build_strategy is deprecated"):
-            factory = repro.build_strategy
-        strategy = factory(
-            StrategyName.SPECULATIVE_RESUME, StrategyParameters(tau_est=40.0, tau_kill=80.0)
-        )
-        assert strategy.name is StrategyName.SPECULATIVE_RESUME
-
-    def test_deprecated_flow_still_runs(self):
-        """The pre-1.1 hand-wired flow keeps working through the shims."""
-        jobs = [
-            JobSpec(job_id=f"j{i}", num_tasks=5, deadline=100.0, tmin=20.0, beta=1.4, submit_time=i)
-            for i in range(5)
-        ]
-        with pytest.warns(DeprecationWarning):
-            runner = repro.SimulationRunner(cluster=ClusterConfig(num_nodes=0), seed=0)
-            report = runner.run(
-                jobs,
-                repro.build_strategy(
-                    StrategyName.SPECULATIVE_RESUME,
-                    StrategyParameters(tau_est=40.0, tau_kill=80.0),
-                ),
-            )
-        assert report.num_jobs == 5
-
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.definitely_not_an_attribute
+        with pytest.raises(AttributeError):
+            repro.SimulationRunner

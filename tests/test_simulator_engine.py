@@ -119,6 +119,33 @@ class TestRunLimits:
         engine.run(max_events=2)
         assert calls == [0, 1]
 
+    @staticmethod
+    def _same_timestamp_batch(calls):
+        """Five events at t=1 (the second cancels the third), then more."""
+        engine = SimulationEngine()
+        record = calls.append
+        engine.schedule_at(1.0, lambda: (record("a"), engine.schedule_at(1.0, record, "a2")))
+        engine.schedule_at(1.0, lambda: (record("b"), doomed.cancel()))
+        doomed = engine.schedule_at(1.0, record, "c")
+        engine.schedule_at(1.0, record, "d")
+        engine.schedule_at(1.0, record, "e")
+        engine.schedule_at(2.0, record, "f")
+        return engine
+
+    def test_cap_inside_a_batch_resumes_in_uncapped_order(self):
+        uncapped = []
+        self._same_timestamp_batch(uncapped).run()
+        assert uncapped == ["a", "b", "d", "e", "a2", "f"]
+        for cap in range(len(uncapped) + 1):
+            calls = []
+            engine = self._same_timestamp_batch(calls)
+            engine.run(max_events=cap)
+            assert calls == uncapped[:cap]
+            assert engine.processed_events == cap
+            engine.run()
+            assert calls == uncapped
+            assert engine.processed_events == len(uncapped)
+
     def test_step_returns_false_when_idle(self):
         engine = SimulationEngine()
         assert engine.step() is False
